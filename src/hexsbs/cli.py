@@ -3,7 +3,8 @@
 Machine-readable results go to stdout as JSON (JSONL for enumeration);
 human diagnostics go to stderr.  Exit codes: 0 success, 1 for computed
 negative answers (obstructed region, no tiling, rejected sequence), 2 for
-usage or input errors.
+usage or input errors and for any unexpected failure, which prints one
+line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -308,6 +309,10 @@ def run(argv) -> int:
         return args.func(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:  # a crash must not read as a negative answer
+        message = " ".join(str(e).split())
+        print(f"error: {type(e).__name__}: {message}", file=sys.stderr)
         return 2
 
 

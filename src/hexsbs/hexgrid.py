@@ -156,30 +156,43 @@ def is_edge_connected(cells) -> bool:
 
 
 def is_simply_connected(cells) -> bool:
-    """No holes: the complement of the cells inside a one-cell margin of
-    their bounding box is connected to the margin."""
+    """No holes, for an edge-connected cell set (callers check that first).
+
+    Two closed cells meet exactly when adjacent, three exactly when they
+    share a grid vertex, four never; so by the nerve theorem the union has
+    Euler characteristic F - P + T (cells, adjacent pairs, mutually
+    adjacent triples), which is 1 exactly when a connected union has no
+    holes.
+    """
     cells = set(cells)
     if not cells:
         return True
-    qs = [q for q, _ in cells]
-    rs = [r for _, r in cells]
-    lo_q, hi_q = min(qs) - 1, max(qs) + 1
-    lo_r, hi_r = min(rs) - 1, max(rs) + 1
-    outside = {(q, r) for q in range(lo_q, hi_q + 1)
-               for r in range(lo_r, hi_r + 1)} - cells
-    start = (lo_q, lo_r)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for n in neighbors(stack.pop()):
-            if n in outside and n not in seen:
-                seen.add(n)
-                stack.append(n)
-    return seen == outside
+    pairs = triples = 0
+    for q, r in cells:
+        east = (q + 1, r) in cells
+        north = (q, r + 1) in cells
+        south_east = (q + 1, r - 1) in cells
+        pairs += east + north + south_east
+        # each triangle counted once, at its lowest westmost cell
+        triples += (east and north) + (south_east and east)
+    return len(cells) - pairs + triples == 1
 
 
 def region_validate(cells, allow_empty: bool = False) -> Region:
-    cell_set = frozenset((int(q), int(r)) for q, r in cells)
+    """A Region from (q, r) pairs of ints, rejecting a malformed or
+    duplicate entry by its index, and any set that is not one region."""
+    seen = set()
+    for i, cell in enumerate(cells):
+        if not isinstance(cell, (list, tuple)) or len(cell) != 2:
+            raise RegionError(f"cell {i}: {cell!r} is not a [q, r] pair")
+        for x in cell:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise RegionError(
+                    f"cell {i}: coordinate {x!r} is not an integer")
+        if tuple(cell) in seen:
+            raise RegionError(f"cell {i}: {list(cell)} is a duplicate")
+        seen.add(tuple(cell))
+    cell_set = frozenset(seen)
     if not cell_set:
         if allow_empty:
             return Region(cell_set)
@@ -279,9 +292,9 @@ def grow_random_region(rng: Random, n_cells: int, tries: int = 200) -> Region:
 
 def region_from_json(text: str, allow_empty: bool = False) -> Region:
     data = json.loads(text)
-    if not isinstance(data, dict) or "cells" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("cells"), list):
         raise RegionError('region JSON must be {"cells": [[q, r], ...]}')
-    return region_validate([tuple(c) for c in data["cells"]], allow_empty)
+    return region_validate(data["cells"], allow_empty)
 
 
 def region_from_ascii(text: str) -> Region:

@@ -6,10 +6,11 @@ a member (rotate or invert until an uppercase X exists, then shift it to
 the end), so appending X loses nothing while cutting the space sixfold;
 this is checked against a naive oracle in the tests.
 
-Words are evaluated through an interned state table: the subgroup
-generated by the step matrices turns out to be a small finite group, so
-evaluation reduces to walking a transition table after a cheap warmup.
-The table is rebuilt per process; partitioned runs share nothing mutable.
+Words are evaluated on the table of the group the step matrices generate,
+words.STEP_GROUP (SL(2,3), order 24, built once at import): the search
+steps a word by one lookup per letter, and the census and the endpoint
+lattice index the same transition, product and inverse tables.
+Partitioned runs share nothing mutable.
 """
 
 from __future__ import annotations
@@ -18,41 +19,18 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .cyclo import IDENTITY, PMClass, classify_pm
+from .cyclo import IDENTITY, PMClass
 from .hexgrid import STEP_DISPLACEMENTS
-from .words import (STEP_MATRICES, canonical_representative, closure_members,
+from .words import (STEP_GROUP, canonical_representative, closure_members,
                     eval_letters)
 
 LETTERS = "XYZxyz"
 _INVERSE = dict(zip("XYZxyz", "xyzXYZ"))
+# letters that may stand next to each letter in a freely reduced word
+_FOLLOWERS = {last: tuple(ch for ch in LETTERS if ch != _INVERSE[last])
+              for last in LETTERS}
 # cyclically reduced words ending in X cannot also start with x
 START_LETTERS = "XYZyz"
-
-
-class _StateTable:
-    """Interned matrix values with memoized right-multiplication."""
-
-    def __init__(self):
-        self.mats = [IDENTITY]
-        self.index = {IDENTITY: 0}
-        self.trans = {}
-        self.pm = {0: PMClass.PLUS_IDENTITY}
-
-    def step(self, state: int, letter: str) -> int:
-        key = (state, letter)
-        t = self.trans.get(key)
-        if t is None:
-            m = self.mats[state] * STEP_MATRICES[letter]
-            t = self.index.get(m)
-            if t is None:
-                t = len(self.mats)
-                self.index[m] = t
-                self.mats.append(m)
-                k = classify_pm(m)
-                if k is not PMClass.OTHER:
-                    self.pm[t] = k
-            self.trans[key] = t
-        return t
 
 
 @dataclass(frozen=True)
@@ -93,27 +71,25 @@ def _word_is_closed(letters: str) -> bool:
 
 def _enumerate_partition(args) -> dict:
     first_letters, max_word_length = args
-    table = _StateTable()
+    step, pm = STEP_GROUP.step, STEP_GROUP.pm
+    to_x = step["X"]
     found = {}
 
     def visit(word: list, state: int):
         if word[-1] != "x":
-            t = table.step(state, "X")
-            k = table.pm.get(t)
-            if k is not None:
+            k = pm[to_x[state]]
+            if k is not PMClass.OTHER:
                 rep = canonical_representative("".join(word) + "X")
                 if rep not in found:
                     found[rep] = (k, len(word) + 1)
         if len(word) < max_word_length - 1:
-            last = word[-1]
-            for ch in LETTERS:
-                if _INVERSE[last] != ch:
-                    word.append(ch)
-                    visit(word, table.step(state, ch))
-                    word.pop()
+            for ch in _FOLLOWERS[word[-1]]:
+                word.append(ch)
+                visit(word, step[ch][state])
+                word.pop()
 
     for ch in first_letters:
-        visit([ch], table.step(0, ch))
+        visit([ch], step[ch][0])
     return found
 
 
@@ -265,21 +241,20 @@ def identity_endpoint_lattice(max_length: int, sign: str = "both") -> list:
     wanted = {"+I": {PMClass.PLUS_IDENTITY},
               "-I": {PMClass.MINUS_IDENTITY},
               "both": {PMClass.PLUS_IDENTITY, PMClass.MINUS_IDENTITY}}[sign]
-    table = _StateTable()
+    step, pm = STEP_GROUP.step, STEP_GROUP.pm
     out = set()
     disp = STEP_DISPLACEMENTS
 
-    def visit(state, last, u, v, depth):
-        if table.pm.get(state) in wanted:
+    def visit(state, letters, u, v, depth):
+        if pm[state] in wanted:
             out.add((u, v))
         if depth < max_length:
-            for ch in LETTERS:
-                if last is None or _INVERSE[last] != ch:
-                    du, dv = disp[ch]
-                    visit(table.step(state, ch), ch, u + du, v + dv,
-                          depth + 1)
+            for ch in letters:
+                du, dv = disp[ch]
+                visit(step[ch][state], _FOLLOWERS[ch], u + du, v + dv,
+                      depth + 1)
 
-    visit(0, None, 0, 0, 0)
+    visit(0, LETTERS, 0, 0, 0)
     return sorted(out)
 
 
@@ -289,13 +264,13 @@ def identity_endpoint_lattice(max_length: int, sign: str = "both") -> list:
 class CensusReport:
     """Per-length counts of cyclically reduced identity words ending in X,
     counted twice over (a direct scan of the transition table and a
-    meet-in-the-middle join over the value index), plus the index of
-    shortest words per reachable matrix value."""
+    meet-in-the-middle join through the group), plus a shortest word of
+    each group element."""
 
     max_length: int
     counts: tuple  # of (length, plus_count, minus_count)
     group_size: int
-    shortest_words: tuple  # of (word, pm_class_or_None)
+    shortest_words: tuple  # of (word, PMClass)
 
     def to_json(self) -> dict:
         return {
@@ -303,138 +278,73 @@ class CensusReport:
             "counts": [{"length": n, "plus": p, "minus": m}
                        for n, p, m in self.counts],
             "group_size": self.group_size,
-            "shortest_words": [
-                {"word": w, "class": k.value if k else "Other"}
-                for w, k in self.shortest_words],
+            "shortest_words": [{"word": w, "class": k.value}
+                               for w, k in self.shortest_words],
         }
 
 
-def _half_tables(table, length, keyed_by_first):
-    """Counts of freely reduced words of a given length, keyed by
-    (state, first or last letter); first letter never 'x' when keyed by
-    last (prefix side), last letter never 'x' when keyed by first."""
-    # start: single letters
-    if keyed_by_first:
-        cur = {(table.step(0, ch), ch, ch): 1 for ch in LETTERS}
-    else:
-        cur = {(table.step(0, ch), ch, ch): 1 for ch in START_LETTERS}
-    for _ in range(length - 1):
-        nxt = {}
-        for (state, keep, last), count in cur.items():
-            for ch in LETTERS:
-                if _INVERSE[last] != ch:
-                    key = (table.step(state, ch), keep, ch)
-                    nxt[key] = nxt.get(key, 0) + count
-        cur = nxt
+def _extend(counts: dict, move) -> dict:
+    """Grow each counted reduced word by one letter at its open end.
+
+    Keys are (group element, letter at the open end); move(element,
+    letter) gives the element of the grown word."""
     out = {}
-    for (state, keep, last), count in cur.items():
-        if keyed_by_first:
-            if last == "x":
-                continue
-            key = (state, keep)
-        else:
-            key = (state, last)
-        out[key] = out.get(key, 0) + count
+    for (state, end), count in counts.items():
+        for ch in _FOLLOWERS[end]:
+            key = (move(state, ch), ch)
+            out[key] = out.get(key, 0) + count
     return out
 
 
 def identity_word_census(max_length: int = 16) -> CensusReport:
     """Count the identity words of each total length up to max_length.
 
-    The direct count walks the (state, last letter) table; the
-    meet-in-the-middle count joins two half-word tables through the group
-    value needed to land on +-I.  Both must agree, which is asserted.
+    The words are w + "X" with w reduced, neither starting nor ending in
+    "x".  One pass grows the prefixes w a letter at a time, keyed by
+    (element, last letter), which gives the direct count at every length.
+    The meet-in-the-middle count splits w into a prefix half and a suffix
+    half, the suffixes grown by prepending and keyed by (element, first
+    letter), and joins them through the group: for a prefix element s1,
+    only the suffix element s1^-1 * (+-I) * X^-1 lands on +-I.  Both
+    counts must agree, which is asserted.
     """
     if max_length < 2:
         raise ValueError("max_length must be >= 2")
-    table = _StateTable()
-    # force the full group into the table (finite and tiny)
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for ch in LETTERS:
-                before = len(table.mats)
-                t = table.step(s, ch)
-                if t >= before:
-                    nxt.append(t)
-        frontier = nxt
-    group_size = len(table.mats)
-    xstep = {s: table.step(s, "X") for s in range(group_size)}
-
+    step, mul, inv, pm = (STEP_GROUP.step, STEP_GROUP.mul, STEP_GROUP.inv,
+                          STEP_GROUP.pm)
+    to_x = step["X"]
+    signs = (PMClass.PLUS_IDENTITY, PMClass.MINUS_IDENTITY)
+    lands = {k: mul[pm.index(k)][step["x"][0]] for k in signs}
+    single = {(step[ch][0], ch): 1 for ch in START_LETTERS}
+    prefixes = [None, single]  # by length; (element, last letter)
+    suffixes = [None, single]  # by length; (element, first letter)
     counts = []
-    for total in range(2, max_length + 1):
-        n = total - 1  # prefix length
-        # direct: DP over (state, last), first letter != 'x'
-        cur = {(table.step(0, ch), ch): 1 for ch in START_LETTERS}
-        for _ in range(n - 1):
-            nxt = {}
-            for (state, last), count in cur.items():
-                for ch in LETTERS:
-                    if _INVERSE[last] != ch:
-                        key = (table.step(state, ch), ch)
-                        nxt[key] = nxt.get(key, 0) + count
-            cur = nxt
-        plus = minus = 0
-        for (state, last), count in cur.items():
-            if last == "x":
-                continue
-            k = table.pm.get(xstep[state])
-            if k is PMClass.PLUS_IDENTITY:
-                plus += count
-            elif k is PMClass.MINUS_IDENTITY:
-                minus += count
+    for n in range(1, max_length):  # prefix length; total n + 1
+        if n > 1:
+            prefixes.append(_extend(prefixes[-1],
+                                    lambda s, ch: step[ch][s]))
+        direct = dict.fromkeys(signs, 0)
+        for (state, last), count in prefixes[n].items():
+            k = pm[to_x[state]]
+            if last != "x" and k is not PMClass.OTHER:
+                direct[k] += count
         if n >= 2:
             h1 = n // 2
-            left = _half_tables(table, h1, keyed_by_first=False)
-            right = _half_tables(table, n - h1, keyed_by_first=True)
-            mplus = mminus = 0
-            for (s1, last1), c1 in left.items():
-                bad = _INVERSE[last1]
-                for (s2, first2), c2 in right.items():
-                    if first2 == bad:
-                        continue
-                    k = table.pm.get(xstep.get(_combine(table, s1, s2)))
-                    if k is PMClass.PLUS_IDENTITY:
-                        mplus += c1 * c2
-                    elif k is PMClass.MINUS_IDENTITY:
-                        mminus += c1 * c2
-            assert (mplus, mminus) == (plus, minus), \
-                f"meet-in-the-middle mismatch at length {total}"
-        counts.append((total, plus, minus))
+            while len(suffixes) <= n - h1:
+                suffixes.append(_extend(suffixes[-1],
+                                        lambda s, ch: mul[step[ch][0]][s]))
+            right = suffixes[n - h1]
+            joined = dict.fromkeys(signs, 0)
+            for (s1, last), c1 in prefixes[h1].items():
+                for k in signs:
+                    s2 = mul[inv[s1]][lands[k]]
+                    joined[k] += c1 * sum(right.get((s2, ch), 0)
+                                          for ch in _FOLLOWERS[last])
+            assert joined == direct, \
+                f"meet-in-the-middle mismatch at length {n + 1}"
+        counts.append((n + 1, direct[signs[0]], direct[signs[1]]))
 
-    shortest = _shortest_words(table, group_size)
-    return CensusReport(max_length, tuple(counts), group_size,
+    shortest = sorted(zip(STEP_GROUP.shortest, pm),
+                      key=lambda p: (len(p[0]), p[0]))
+    return CensusReport(max_length, tuple(counts), len(STEP_GROUP.elements),
                         tuple(shortest))
-
-
-def _combine(table, s1: int, s2: int) -> int:
-    key = ("combine", s1, s2)
-    t = table.trans.get(key)
-    if t is None:
-        m = table.mats[s1] * table.mats[s2]
-        t = table.index[m]
-        table.trans[key] = t
-    return t
-
-
-def _shortest_words(table, group_size: int) -> list:
-    """A shortest reduced word per group element, breadth-first with the
-    letters in fixed order, so the choice is deterministic."""
-    best = {0: ""}
-    frontier = [(0, "", None)]
-    while frontier and len(best) < group_size:
-        nxt = []
-        for state, word, last in frontier:
-            for ch in LETTERS:
-                if last is not None and _INVERSE[last] == ch:
-                    continue
-                t = table.step(state, ch)
-                if t not in best:
-                    best[t] = word + ch
-                    nxt.append((t, word + ch, ch))
-        frontier = nxt
-    out = []
-    for state in sorted(best, key=lambda s: (len(best[s]), best[s])):
-        out.append((best[state], table.pm.get(state)))
-    return out

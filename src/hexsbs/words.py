@@ -15,6 +15,10 @@ Conventions
   tile calibration suite (all bone/snake boundary words must evaluate to I
   and both stone words to -I, in both alphabets); the suite is asserted
   once at import via fixtures.TILE_WORDS.
+* The step matrices generate SL(2,3), of order 24, tabulated once at
+  import as STEP_GROUP from exact Mat2 products; step words evaluate by
+  one table lookup per letter.  Edge words stay on Mat2 products, since
+  alpha, beta and gamma generate an infinite group.
 """
 
 from __future__ import annotations
@@ -177,11 +181,72 @@ EDGE_MATRICES: dict[str, Mat2] = {
 }
 
 
+@dataclass(frozen=True)
+class StepGroup:
+    """The group generated by the step matrices, as tables over element
+    indices.
+
+    Element 0 is the identity.  Elements are numbered in the breadth-first
+    order in which right-multiplication by the letters XYZxyz first
+    reaches them, so shortest[i] is the least word, in length and then in
+    letter order, with value elements[i].
+    """
+
+    elements: tuple  # exact Mat2 of each element
+    step: dict  # letter -> row: step[ch][i] = index of elements[i] * M(ch)
+    pm: tuple  # PMClass of each element
+    shortest: tuple  # shortest word of each element
+    mul: tuple  # mul[i][j] = index of elements[i] * elements[j]
+    inv: tuple  # inv[i] = index of the inverse of elements[i]
+
+
+def _build_step_group() -> StepGroup:
+    # one Mat2 product per (element, letter): 24 x 6 in all
+    elements = [IDENTITY]
+    index = {IDENTITY: 0}
+    shortest = [""]
+    parent = [0]
+    rows = {ch: [] for ch in STEP_LETTERS}
+    i = 0
+    while i < len(elements):
+        for ch in STEP_LETTERS:
+            m = elements[i] * STEP_MATRICES[ch]
+            j = index.setdefault(m, len(elements))
+            if j == len(elements):
+                elements.append(m)
+                shortest.append(shortest[i] + ch)
+                parent.append(i)
+            rows[ch].append(j)
+        i += 1
+    step = {ch: tuple(row) for ch, row in rows.items()}
+    # elements[i] * elements[j] walks on from elements[i] * elements[parent[j]]
+    # by the last letter of shortest[j]
+    mul = []
+    for i in range(len(elements)):
+        row = [i]
+        for j in range(1, len(elements)):
+            row.append(step[shortest[j][-1]][row[parent[j]]])
+        mul.append(tuple(row))
+    return StepGroup(tuple(elements), step,
+                     tuple(classify_pm(m) for m in elements),
+                     tuple(shortest), tuple(mul),
+                     tuple(row.index(0) for row in mul))
+
+
+STEP_GROUP = _build_step_group()
+
+
 def eval_word(w: Word) -> Mat2:
-    table = STEP_MATRICES if w.alphabet == "step" else EDGE_MATRICES
+    """Exact value of a word: step words by walking STEP_GROUP, edge
+    words by Mat2 products."""
+    if w.alphabet == "step":
+        state, step = 0, STEP_GROUP.step
+        for ch in w.letters:
+            state = step[ch][state]
+        return STEP_GROUP.elements[state]
     m = IDENTITY
     for ch in w.letters:
-        m = m * table[ch]
+        m = m * EDGE_MATRICES[ch]
     return m
 
 

@@ -2,9 +2,11 @@
 
 Everything here recomputes results along a different route than the
 package: numeric evaluation through a complex embedding of the ring,
-single-matrix-product word scans without state interning, tiling counts
-by raw subset search, and group orders from a presentation alone by coset
-enumeration (no matrices at all).
+word evaluation and word scans by plain Mat2 products (no group table),
+the census's former per-length count over lazily interned matrices, the
+former bounding-box flood for holes, tiling counts by raw subset search,
+and group orders from a presentation alone by coset enumeration (no
+matrices at all).
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 import cmath
 import itertools
 
-from hexsbs.cyclo import IDENTITY, MINUS_IDENTITY, CycInt, Mat2, PMClass
+from hexsbs.cyclo import (IDENTITY, MINUS_IDENTITY, CycInt, Mat2, PMClass,
+                          classify_pm)
+from hexsbs.hexgrid import neighbors
 from hexsbs.words import STEP_MATRICES, Word, closure_members, eval_word
 
 OMEGA_C = cmath.exp(1j * cmath.pi / 6)  # primitive 12th root of unity
@@ -48,6 +52,14 @@ def eval_complex(word: Word):
     m = [[1 + 0j, 0j], [0j, 1 + 0j]]
     for ch in word.letters:
         m = complex_mat_mul(m, mat_to_complex(table[ch]))
+    return m
+
+
+def eval_by_products(letters: str) -> Mat2:
+    """A step word's value as a left-to-right fold of Mat2 products."""
+    m = IDENTITY
+    for ch in letters:
+        m = m * STEP_MATRICES[ch]
     return m
 
 
@@ -102,6 +114,68 @@ def count_identity_words(length: int) -> tuple:
 
     rec("", IDENTITY)
     return plus, minus
+
+
+def census_counts_by_length(max_length: int) -> list:
+    """(length, plus, minus) for each total length 2..max_length, with a
+    dynamic programme over (matrix, last letter) rebuilt from scratch for
+    every length; matrices are interned lazily and products memoized."""
+    mats, index, trans = [IDENTITY], {IDENTITY: 0}, {}
+
+    def step(state, ch):
+        if (state, ch) not in trans:
+            m = mats[state] * STEP_MATRICES[ch]
+            if m not in index:
+                index[m] = len(mats)
+                mats.append(m)
+            trans[state, ch] = index[m]
+        return trans[state, ch]
+
+    out = []
+    for total in range(2, max_length + 1):
+        cur = {(step(0, ch), ch): 1 for ch in "XYZyz"}
+        for _ in range(total - 2):
+            nxt = {}
+            for (state, last), count in cur.items():
+                for ch in "XYZxyz":
+                    if INVERSE[last] != ch:
+                        key = (step(state, ch), ch)
+                        nxt[key] = nxt.get(key, 0) + count
+            cur = nxt
+        plus = minus = 0
+        for (state, last), count in cur.items():
+            if last == "x":
+                continue
+            k = classify_pm(mats[step(state, "X")])
+            if k is PMClass.PLUS_IDENTITY:
+                plus += count
+            elif k is PMClass.MINUS_IDENTITY:
+                minus += count
+        out.append((total, plus, minus))
+    return out
+
+
+def flood_is_simply_connected(cells) -> bool:
+    """No holes: the complement of the cells inside a one-cell margin of
+    their bounding box is connected to the margin."""
+    cells = set(cells)
+    if not cells:
+        return True
+    qs = [q for q, _ in cells]
+    rs = [r for _, r in cells]
+    lo_q, hi_q = min(qs) - 1, max(qs) + 1
+    lo_r, hi_r = min(rs) - 1, max(rs) + 1
+    outside = {(q, r) for q in range(lo_q, hi_q + 1)
+               for r in range(lo_r, hi_r + 1)} - cells
+    start = (lo_q, lo_r)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for n in neighbors(stack.pop()):
+            if n in outside and n not in seen:
+                seen.add(n)
+                stack.append(n)
+    return seen == outside
 
 
 def brute_force_tiling_count(region_cells, placements) -> int:

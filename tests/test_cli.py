@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hexsbs import cli
 from hexsbs.cli import run
 from hexsbs.tiling import SignedTiling, signed_tiling_verify
 from hexsbs.hexgrid import region_validate
@@ -54,6 +55,47 @@ def test_check_region_ring_is_input_error(capsys):
                             str(FIXTURES / "ring6.json"))
     assert code == 2
     assert "simply connected" in err
+
+
+@pytest.mark.parametrize("cells, index", [
+    ([[0.9, 0], [1.5, False]], "cell 0"),
+    ([[0, 0], [1, False]], "cell 1"),
+    ([[0, 0], [0]], "cell 1"),
+    ([[0, 0], [0, 1], [0, 0]], "cell 2"),
+])
+def test_check_region_rejects_malformed_cells(capsys, tmp_path, cells,
+                                              index):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"cells": cells}))
+    code, out, err = invoke(capsys, "check-region", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and index in err
+
+
+def test_check_region_rejects_non_list_cells(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"cells": 5}')
+    code, out, err = invoke(capsys, "check-region", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("exc, line", [
+    (RecursionError("maximum recursion depth exceeded"),
+     "error: RecursionError: maximum recursion depth exceeded\n"),
+    (KeyError("two\nlines"), "error: KeyError: 'two\\nlines'\n"),
+    (RuntimeError("two\nlines"), "error: RuntimeError: two lines\n"),
+])
+def test_unexpected_failure_exits_2_without_traceback(capsys, monkeypatch,
+                                                      exc, line):
+    def crash(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "standard_tiling_solve", crash)
+    code, out, err = invoke(capsys, "solve-exact", "--in",
+                            str(FIXTURES / "bone.json"))
+    assert (code, out, err) == (2, "", line)
 
 
 def test_missing_file(capsys):

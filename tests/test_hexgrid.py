@@ -5,12 +5,15 @@ import pytest
 from hexsbs.fixtures import (BARBELL_CELLS, BARBELL_WORD, HEX7_CELLS,
                              HEX7_WORD, RING6_CELLS, TILE_WORDS)
 from hexsbs.hexgrid import (RegionError, cell_center_plane,
-                            grow_random_region, is_closed, lattice_to_plane,
+                            grow_random_region, is_closed, is_edge_connected,
+                            is_simply_connected, lattice_to_plane, neighbors,
                             path_endpoint, plane_to_lattice,
                             region_boundary_word, region_from_ascii,
                             region_from_json, region_validate, winding_cells)
 from hexsbs.words import (WordError, closure, eval_word, invert_word,
                           step_to_edge, step_word)
+
+from oracles import flood_is_simply_connected
 
 
 def test_path_endpoint():
@@ -75,6 +78,47 @@ def test_region_validate():
     with pytest.raises(RegionError, match="empty"):
         region_validate([])
     assert len(region_validate([], allow_empty=True)) == 0
+
+
+@pytest.mark.parametrize("cells, message", [
+    ([[0, 0], [0.9, 0]], "cell 1: coordinate 0.9 is not an integer"),
+    ([[0, 0], [1, False]], "cell 1: coordinate False is not an integer"),
+    ([[0, "1"]], "cell 0: coordinate '1' is not an integer"),
+    ([[0, 0], [0, 1, 2]], r"cell 1: \[0, 1, 2\] is not a \[q, r\] pair"),
+    ([[0, 0], 5], r"cell 1: 5 is not a \[q, r\] pair"),
+    ([[0, 0], [0, 1], [0, 0]], r"cell 2: \[0, 0\] is a duplicate"),
+])
+def test_region_validate_rejects_malformed_cells(cells, message):
+    with pytest.raises(RegionError, match=message):
+        region_validate(cells)
+
+
+def test_hole_test_matches_flood_oracle():
+    # connected blobs grown at random, some with cells cut back out
+    rng = random.Random(31)
+    seen = {True: 0, False: 0}
+    for _ in range(600):
+        cells = {(0, 0)}
+        for _ in range(rng.randrange(40)):
+            frontier = sorted({n for c in cells for n in neighbors(c)}
+                              - cells)
+            cells.add(rng.choice(frontier))
+        cut = min(rng.randrange(4), len(cells) - 1)
+        cells -= set(rng.sample(sorted(cells), cut))
+        if not is_edge_connected(cells):
+            continue
+        want = flood_is_simply_connected(cells)
+        assert is_simply_connected(cells) is want, sorted(cells)
+        seen[want] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_hole_test_on_rings_and_paths():
+    assert not is_simply_connected(RING6_CELLS)
+    assert is_simply_connected([])
+    staircase = [(q, -(q // 2)) for q in range(300)]
+    assert is_edge_connected(staircase)
+    assert is_simply_connected(staircase)
 
 
 def test_boundary_word_hex7():

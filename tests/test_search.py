@@ -9,11 +9,12 @@ from hexsbs.search import (CensusReport, GroupProbeResult, RelationRecord,
                            group_closure_probe, identity_endpoint_lattice,
                            identity_word_census, reduce_relation_list,
                            verify_reduction_table)
-from hexsbs.words import (STEP_MATRICES, canonical_representative,
+from hexsbs.words import (STEP_GROUP, STEP_MATRICES, canonical_representative,
                           eval_letters)
 
-from oracles import (coset_trace, count_identity_words,
-                     naive_identity_classes, sign_presentation, todd_coxeter)
+from oracles import (census_counts_by_length, coset_trace,
+                     count_identity_words, naive_identity_classes,
+                     sign_presentation, todd_coxeter)
 
 
 def reps(records):
@@ -150,6 +151,22 @@ def test_group_probe_full_group():
     assert dict(result.element_orders) == {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}
 
 
+def test_step_group_element_orders_match_group_probe():
+    mul = STEP_GROUP.mul
+    orders = {}
+    for i in range(len(mul)):
+        n, p = 1, i
+        while p != 0:
+            p = mul[p][i]
+            n += 1
+        orders[n] = orders.get(n, 0) + 1
+    probe = group_closure_probe(
+        [STEP_MATRICES[ch] for ch in "XYZ"], bound=10 ** 6)
+    assert len(mul) == probe.order == 24
+    assert orders == dict(probe.element_orders) == \
+        {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}
+
+
 def test_coset_enumeration_matches_group_probe():
     # known orders: cyclic 5, S3, binary tetrahedral, A5
     assert len(todd_coxeter("A", ["AAAAA"])) == 5
@@ -203,6 +220,11 @@ def test_census_counts_match_direct_scan():
     assert report.group_size == 24
     for length, plus, minus in report.counts:
         assert (plus, minus) == count_identity_words(length), length
+
+
+def test_census_matches_per_length_recount():
+    assert list(identity_word_census(30).counts) == \
+        census_counts_by_length(30)
 
 
 def test_census_deterministic_and_serializable():

@@ -1,16 +1,20 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexsbs.cyclo import IDENTITY, MINUS_IDENTITY, PMClass
 from hexsbs.fixtures import (CONJECTURE_MINUS, CONJECTURE_PLUS,
                              TABLE_WORDS, TILE_EDGE_WORDS, TILE_WORDS)
-from hexsbs.words import (ClosureClass, Word, WordError, classify_pm, closure,
-                          edge_to_step, eval_letters, eval_word, free_reduce,
-                          invert_word, is_cyclically_reduced, parse_word,
-                          rotate120, step_to_edge, step_word)
+from hexsbs.words import (STEP_GROUP, STEP_MATRICES, ClosureClass, Word,
+                          WordError, classify_pm, closure, edge_to_step,
+                          eval_letters, eval_word, free_reduce, invert_word,
+                          is_cyclically_reduced, parse_word, rotate120,
+                          step_to_edge, step_word)
 
-from oracles import exact_matches_complex
+from oracles import eval_by_products, exact_matches_complex
 
 
 def rand_step_word(rng, max_len, reduced=False):
@@ -180,6 +184,51 @@ def test_eval_matches_complex_embedding():
     for _ in range(60):
         w = rand_step_word(rng, 12)
         assert exact_matches_complex(w)
+
+
+def test_step_group_transitions_match_mat2_products():
+    g = STEP_GROUP
+    assert g.elements[0] == IDENTITY
+    assert len(set(g.elements)) == len(g.elements) == 24
+    checked = 0
+    for ch, row in g.step.items():
+        for i, m in enumerate(g.elements):
+            assert g.elements[row[i]] == m * STEP_MATRICES[ch]
+            checked += 1
+    assert checked == 144
+
+
+def test_step_group_products_and_inverses_match_mat2():
+    g = STEP_GROUP
+    checked = 0
+    for i, a in enumerate(g.elements):
+        for j, b in enumerate(g.elements):
+            assert g.elements[g.mul[i][j]] == a * b
+            checked += 1
+        assert g.elements[g.inv[i]] == a.inv()
+    assert checked == 576
+
+
+def test_step_group_pm_flags_match_classify_pm():
+    assert STEP_GROUP.pm == tuple(classify_pm(m) for m in STEP_GROUP.elements)
+    assert STEP_GROUP.pm.count(PMClass.PLUS_IDENTITY) == 1
+    assert STEP_GROUP.pm.count(PMClass.MINUS_IDENTITY) == 1
+
+
+def test_step_group_shortest_words_are_least():
+    # every element is reached within three letters; the stored word is
+    # the least of least length, in the string order of the letters
+    least = {}
+    for n in range(4):
+        for letters in map("".join, itertools.product("XYZxyz", repeat=n)):
+            least.setdefault(eval_by_products(letters), letters)
+    assert STEP_GROUP.shortest == tuple(least[m] for m in STEP_GROUP.elements)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(alphabet="XYZxyz", max_size=500))
+def test_eval_word_matches_product_fold(letters):
+    assert eval_word(step_word(letters)) == eval_by_products(letters)
 
 
 def test_step_to_edge():
