@@ -112,7 +112,7 @@ def cmd_solve_exact(args) -> int:
         result = standard_tiling_solve(region, kinds, "count", cap=args.cap)
         _emit({"count": result.count, "cap_exceeded": result.cap_exceeded})
         return 0
-    placements = standard_tiling_solve(region, kinds, "first")
+    placements = standard_tiling_solve(region, kinds, "first", cap=args.cap)
     if placements is None:
         _emit({"result": "NoTiling"})
         return 1

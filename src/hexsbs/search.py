@@ -9,7 +9,8 @@ this is checked against a naive oracle in the tests.
 Words are evaluated on the table of the group the step matrices generate,
 words.STEP_GROUP (SL(2,3), order 24, built once at import): the search
 steps a word by one lookup per letter, and the census and the endpoint
-lattice index the same transition, product and inverse tables.
+lattice grow one frontier of words per length, keyed by group element and
+last letter, rather than visiting the words one by one.
 Partitioned runs share nothing mutable.
 """
 
@@ -235,26 +236,29 @@ def group_closure_probe(generators, bound: int = 10 ** 6) -> GroupProbeResult:
 
 def identity_endpoint_lattice(max_length: int, sign: str = "both") -> list:
     """Endpoints (relative to the origin) of every word of length up to
-    max_length whose value matches the sign filter ("+I", "-I", "both")."""
+    max_length whose value matches the sign filter ("+I", "-I", "both").
+    One frontier per length, the reduced words by ((element, endpoint),
+    last letter) grown by _extend, keeps the cost polynomial in length."""
     if sign not in ("+I", "-I", "both"):
         raise ValueError(f"bad sign filter {sign!r}")
+    if max_length < 0:
+        raise ValueError("max_length must be >= 0")
     wanted = {"+I": {PMClass.PLUS_IDENTITY},
               "-I": {PMClass.MINUS_IDENTITY},
               "both": {PMClass.PLUS_IDENTITY, PMClass.MINUS_IDENTITY}}[sign]
     step, pm = STEP_GROUP.step, STEP_GROUP.pm
-    out = set()
-    disp = STEP_DISPLACEMENTS
 
-    def visit(state, letters, u, v, depth):
-        if pm[state] in wanted:
-            out.add((u, v))
-        if depth < max_length:
-            for ch in letters:
-                du, dv = disp[ch]
-                visit(step[ch][state], _FOLLOWERS[ch], u + du, v + dv,
-                      depth + 1)
+    def move(key, ch):
+        state, (u, v) = key
+        du, dv = STEP_DISPLACEMENTS[ch]
+        return step[ch][state], (u + du, v + dv)
 
-    visit(0, LETTERS, 0, 0, 0)
+    out = {(0, 0)} if pm[0] in wanted else set()
+    frontier = {(move((0, (0, 0)), ch), ch): 1 for ch in LETTERS}
+    for n in range(max_length):
+        if n:
+            frontier = _extend(frontier, move)
+        out.update(p for (s, p), _ in frontier if pm[s] in wanted)
     return sorted(out)
 
 

@@ -11,6 +11,7 @@ and reports failure as window-relative, never as a global impossibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from . import fixtures
 from .cyclo import PMClass
@@ -85,6 +86,8 @@ def placement_from_json(obj: dict) -> Placement:
 
 
 def pad_window(cells, padding: int) -> frozenset:
+    if padding < 0:
+        raise ValueError("padding must be >= 0")
     window = set(cells)
     for _ in range(padding):
         window |= {n for c in window for n in neighbors(c)}
@@ -253,10 +256,10 @@ def signed_tiling_solve(region: Region, kinds=KINDS, padding: int = 2):
     with placements restricted to the region padded by `padding`; None
     means no solution exists in that window (not a global impossibility)."""
     target = {c: 1 for c in region.cells}
+    window = pad_window(region.cells, padding)
     if not target:
         return SignedTiling(())
-    tiling = solve_cell_target(target, kinds,
-                               pad_window(region.cells, padding))
+    tiling = solve_cell_target(target, kinds, window)
     if tiling is not None:
         assert signed_tiling_verify(region, tiling) is None
     return tiling
@@ -268,52 +271,58 @@ class TilingCount:
     cap_exceeded: bool
 
 
+def _exact_covers(cells, placements):
+    """Yield each exact cover of `cells` by `placements`, which must lie
+    inside it, as a list in the order chosen.  Depth first on an explicit
+    stack: each level takes the uncovered cell with the fewest fitting
+    candidates, ties by cell order, and tries them in placement order."""
+    by_cell = {c: [] for c in cells}  # cell -> [(placement, its cells)]
+    for p in placements:
+        pc = p.cells()
+        for c in pc:
+            by_cell[c].append((p, pc))
+    uncovered = set(cells)
+    chosen = []  # (placement, its cells) taken at each level
+    levels = []  # the fitting candidates of each level's cell, lazily
+    while True:
+        if uncovered:
+            cell = min(uncovered, key=lambda c: (
+                sum(pc <= uncovered for _, pc in by_cell[c]), c))
+            levels.append(e for e in by_cell[cell] if e[1] <= uncovered)
+        else:
+            yield [p for p, _ in chosen]
+        while levels:  # take the next candidate, backtracking
+            if len(chosen) == len(levels):
+                uncovered.update(chosen.pop()[1])
+            nxt = next(levels[-1], None)
+            if nxt is not None:
+                chosen.append(nxt)
+                uncovered.difference_update(nxt[1])
+                break
+            levels.pop()
+        else:
+            return
+
+
 def standard_tiling_solve(region: Region, kinds=KINDS, mode: str = "first",
                           cap: int = 10 ** 6):
     """Exact cover of the region by non-overlapping tiles inside it.
 
     mode "first": a placement list, or None.
     mode "count": TilingCount; exact when cap is not exceeded.
+    The empty region has one cover, the empty one.  The search is
+    iterative, so its depth is not limited by the recursion limit.
     """
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")
-    placements = enumerate_placements(region.cells, kinds)
-    cover = {p: p.cells() for p in placements}
-    by_cell = {}
-    for p in placements:
-        for c in cover[p]:
-            by_cell.setdefault(c, []).append(p)
-    uncovered = set(region.cells)
-    chosen = []
-    state = {"count": 0, "capped": False}
-
-    def descend():
-        if not uncovered:
-            state["count"] += 1
-            return mode == "first"
-        if state["capped"]:
-            return True
-        # least-candidates cell first, ties by cell order
-        cell = min(uncovered, key=lambda c: (
-            sum(1 for p in by_cell.get(c, ()) if cover[p] <= uncovered), c))
-        for p in by_cell.get(cell, ()):
-            cells = cover[p]
-            if cells <= uncovered:
-                uncovered.difference_update(cells)
-                chosen.append(p)
-                if descend():
-                    return True
-                chosen.pop()
-                uncovered.update(cells)
-                if mode == "count" and state["count"] > cap:
-                    state["capped"] = True
-                    return True
-        return False
-
-    hit = descend()
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
+    covers = _exact_covers(region.cells,
+                           enumerate_placements(region.cells, kinds))
     if mode == "first":
-        return list(chosen) if hit else None
-    return TilingCount(min(state["count"], cap), state["capped"])
+        return next(covers, None)
+    found = sum(1 for _ in islice(covers, cap + 1))
+    return TilingCount(min(found, cap), found > cap)
 
 
 def boundary_obstruction_check(region: Region) -> PMClass:

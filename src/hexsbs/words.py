@@ -70,21 +70,8 @@ def step_word(letters: str) -> Word:
     return Word("step", letters)
 
 
-def edge_word(letters: str) -> Word:
-    return Word("edge", letters)
-
-
 def parse_word(text: str, alphabet: str = "step") -> Word:
     return Word(alphabet, text)
-
-
-def letter_inverted(ch: str) -> bool:
-    return ch.islower()
-
-
-def letter_axis(ch: str) -> str:
-    """Axis of a step letter (X/Y/Z) or label of an edge letter (A/B/G)."""
-    return ch.upper()
 
 
 def free_reduce(w: Word) -> Word:

@@ -5,8 +5,9 @@ package: numeric evaluation through a complex embedding of the ring,
 word evaluation and word scans by plain Mat2 products (no group table),
 the census's former per-length count over lazily interned matrices, the
 former bounding-box flood for holes, tiling counts by raw subset search,
-and group orders from a presentation alone by coset enumeration (no
-matrices at all).
+the former recursive exact cover and word-by-word endpoint walk, and group
+orders from a presentation alone by coset enumeration (no matrices at
+all).
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ import itertools
 
 from hexsbs.cyclo import (IDENTITY, MINUS_IDENTITY, CycInt, Mat2, PMClass,
                           classify_pm)
-from hexsbs.hexgrid import neighbors
-from hexsbs.words import STEP_MATRICES, Word, closure_members, eval_word
+from hexsbs.hexgrid import STEP_DISPLACEMENTS, neighbors
+from hexsbs.tiling import KINDS, TilingCount, enumerate_placements
+from hexsbs.words import (STEP_GROUP, STEP_MATRICES, Word, closure_members,
+                          eval_word)
 
 OMEGA_C = cmath.exp(1j * cmath.pi / 6)  # primitive 12th root of unity
 
@@ -196,6 +199,70 @@ def brute_force_tiling_count(region_cells, placements) -> int:
             if ok and seen == cells:
                 count += 1
     return count
+
+
+def recursive_exact_cover(region, kinds=KINDS, mode="first", cap=10 ** 6):
+    """The former exact cover: one recursive call per placed tile, least
+    candidates cell first, ties by cell order.  Returns what
+    standard_tiling_solve returns, except (0, False) for the empty region
+    at cap 0, and its depth is bounded by the recursion limit."""
+    placements = enumerate_placements(region.cells, kinds)
+    cover = {p: p.cells() for p in placements}
+    by_cell = {}
+    for p in placements:
+        for c in cover[p]:
+            by_cell.setdefault(c, []).append(p)
+    uncovered = set(region.cells)
+    chosen = []
+    state = {"count": 0, "capped": False}
+
+    def descend():
+        if not uncovered:
+            state["count"] += 1
+            return mode == "first"
+        if state["capped"]:
+            return True
+        cell = min(uncovered, key=lambda c: (
+            sum(1 for p in by_cell.get(c, ()) if cover[p] <= uncovered), c))
+        for p in by_cell.get(cell, ()):
+            cells = cover[p]
+            if cells <= uncovered:
+                uncovered.difference_update(cells)
+                chosen.append(p)
+                if descend():
+                    return True
+                chosen.pop()
+                uncovered.update(cells)
+                if mode == "count" and state["count"] > cap:
+                    state["capped"] = True
+                    return True
+        return False
+
+    hit = descend()
+    if mode == "first":
+        return list(chosen) if hit else None
+    return TilingCount(min(state["count"], cap), state["capped"])
+
+
+def endpoints_by_length(max_length: int) -> dict:
+    """{(length, PMClass): endpoints} over every reduced step word of each
+    length up to max_length, by the endpoint lattice's former depth-first
+    walk over the words one by one."""
+    step, pm = STEP_GROUP.step, STEP_GROUP.pm
+    followers = {ch: [f for f in INVERSE if f != INVERSE[ch]]
+                 for ch in INVERSE}
+    out = {}
+
+    def visit(state, letters, u, v, depth):
+        out.setdefault((depth, pm[state]), set()).add((u, v))
+        if depth < max_length:
+            for ch in letters:
+                du, dv = STEP_DISPLACEMENTS[ch]
+                visit(step[ch][state], followers[ch], u + du, v + dv,
+                      depth + 1)
+
+    visit(0, "XYZxyz", 0, 0, 0)
+    return out
 
 
 MAX_COSETS = 100_000  # stops an infinite or badly collapsing enumeration

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -231,6 +232,22 @@ def test_endpoints(capsys):
     assert [0, 3] in json.loads(out)["points"]
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["solve-exact", "--in", "bone.json", "--count", "--cap", "-1"], "cap"),
+    (["solve-exact", "--in", "bone.json", "--cap", "-1"], "cap"),
+    (["solve-signed", "--in", "hex7.json", "--padding", "-2"], "padding"),
+    (["probe-stones", "--in", "crescent.json", "--padding", "-2"],
+     "padding"),
+    (["endpoints", "--max-length", "-3"], "max_length"),
+])
+def test_negative_numeric_option_exits_2(capsys, argv, option):
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert option in err
+
+
 def test_render_region(capsys, tmp_path):
     out_file = tmp_path / "hex7.svg"
     code, _, _ = invoke(capsys, "render", "--subject", "region", "--in",
@@ -314,9 +331,12 @@ def test_unknown_verb_exits_2():
 
 
 def test_console_script_entry_point():
+    # the child imports the same hexsbs, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hexsbs.cli", "verify-tiles"],
         capture_output=True, text=True,
-        cwd=str(FIXTURES.parent))
+        cwd=str(FIXTURES.parent), env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["all_ok"]

@@ -13,8 +13,8 @@ from hexsbs.words import (STEP_GROUP, STEP_MATRICES, canonical_representative,
                           eval_letters)
 
 from oracles import (census_counts_by_length, coset_trace,
-                     count_identity_words, naive_identity_classes,
-                     sign_presentation, todd_coxeter)
+                     count_identity_words, endpoints_by_length,
+                     naive_identity_classes, sign_presentation, todd_coxeter)
 
 
 def reps(records):
@@ -204,6 +204,23 @@ def test_endpoint_lattice_contains_landmarks():
     assert plus <= both and minus <= both
     with pytest.raises(ValueError):
         identity_endpoint_lattice(4, "+-I")
+
+
+def test_endpoint_lattice_matches_word_walk():
+    walked = endpoints_by_length(9)
+    signs = {"+I": (PMClass.PLUS_IDENTITY,),
+             "-I": (PMClass.MINUS_IDENTITY,),
+             "both": (PMClass.PLUS_IDENTITY, PMClass.MINUS_IDENTITY)}
+    for sign, classes in signs.items():
+        for max_length in range(10):
+            want = set()
+            for n in range(max_length + 1):
+                for k in classes:
+                    want |= walked.get((n, k), set())
+            assert identity_endpoint_lattice(max_length, sign) == \
+                sorted(want), (sign, max_length)
+    with pytest.raises(ValueError, match="max_length"):
+        identity_endpoint_lattice(-3)
 
 
 def test_endpoint_lattice_closed_under_addition():

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -9,8 +11,9 @@ from hexsbs.fixtures import (CRESCENT_CELLS, CRESCENT_CERTIFICATE,
                              SEQUENCE_2X2X2_LEFT, SEQUENCE_2X2X2_LEFT_TARGET,
                              SEQUENCE_2X2X2_MIDDLE,
                              SEQUENCE_2X2X2_MIDDLE_TARGET, TILE_WORDS)
-from hexsbs.hexgrid import (grow_random_region, region_boundary_word,
-                            region_validate, winding_cells)
+from hexsbs.hexgrid import (grow_random_region, is_simply_connected,
+                            neighbors, region_boundary_word, region_validate,
+                            winding_cells)
 from hexsbs.tiling import (ConstructionStep, IntegerLattice, Placement,
                            SignedTiling, boundary_obstruction_check,
                            constructible_sequence_check, enumerate_placements,
@@ -19,7 +22,7 @@ from hexsbs.tiling import (ConstructionStep, IntegerLattice, Placement,
                            standard_tiling_solve, tile_catalog, tile_shape)
 from hexsbs.words import closure, step_word
 
-from oracles import brute_force_tiling_count
+from oracles import brute_force_tiling_count, recursive_exact_cover
 
 # cell sets enclosed by each tile word, derived independently by tracing
 # the paths on the lattice
@@ -275,6 +278,86 @@ def test_standard_tiling_matches_brute_force():
         got = standard_tiling_solve(region, mode="count")
         assert not got.cap_exceeded
         assert got.count == want, sorted(region.cells)
+
+
+def tile_built_region(rng, tiles):
+    """A simply connected union of `tiles` disjoint random placements,
+    each touching the ones before it."""
+    catalog = tile_catalog()
+    cells = set(Placement(rng.choice(catalog), (0, 0)).cells())
+    placed = 1
+    while placed < tiles:
+        shape = rng.choice(catalog)
+        q, r = rng.choice(sorted({n for c in cells for n in neighbors(c)}
+                                 - cells))
+        oq, orr = rng.choice(sorted(shape.cells))
+        new = Placement(shape, (q - oq, r - orr)).cells()
+        if not new & cells and is_simply_connected(cells | new):
+            cells |= new
+            placed += 1
+    return region_validate(cells)
+
+
+def test_exact_cover_matches_recursive_oracle():
+    rng = random.Random(57)
+    regions = [region_validate(cells) for cells in
+               (HEX7_CELLS, CRESCENT_CELLS, tile_shape("bone", "left").cells,
+                [(q, r) for q in range(3) for r in range(3)])]
+    regions += [grow_random_region(rng, rng.randrange(3, 13))
+                for _ in range(50)]
+    regions += [tile_built_region(rng, rng.randrange(2, 8))
+                for _ in range(60)]
+    totals = []
+    for region in regions:
+        label = sorted(region.cells)
+        assert standard_tiling_solve(region) == \
+            recursive_exact_cover(region), label
+        for cap in (0, 1, 2, 10 ** 6):
+            got = standard_tiling_solve(region, mode="count", cap=cap)
+            assert got == recursive_exact_cover(region, mode="count",
+                                                cap=cap), (label, cap)
+        totals.append(got.count)
+    # every cap is exceeded on some regions and not on others
+    assert sum(n == 0 for n in totals) >= 10
+    assert sum(n > 2 for n in totals) >= 10
+
+
+def test_exact_cover_deeper_than_recursion_limit():
+    # one placed tile per recursive call would exceed this limit
+    bar = region_validate([(0, r) for r in range(600)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        first = standard_tiling_solve(bar, ("bone",))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(first) == 200
+    tiling = SignedTiling(tuple((p, 1) for p in first))
+    assert signed_tiling_verify(bar, tiling) is None
+
+
+def test_exact_cover_empty_region():
+    empty = region_validate([], allow_empty=True)
+    assert standard_tiling_solve(empty) == []
+    count = standard_tiling_solve(empty, mode="count")
+    assert (count.count, count.cap_exceeded) == (1, False)
+    capped = standard_tiling_solve(empty, mode="count", cap=0)
+    assert (capped.count, capped.cap_exceeded) == (0, True)
+
+
+def test_negative_cap_and_padding_rejected():
+    region = region_validate(HEX7_CELLS)
+    with pytest.raises(ValueError, match="cap"):
+        standard_tiling_solve(region, mode="count", cap=-1)
+    with pytest.raises(ValueError, match="padding"):
+        pad_window(region.cells, -1)
+    with pytest.raises(ValueError, match="padding"):
+        signed_tiling_solve(region, padding=-2)
+    with pytest.raises(ValueError, match="padding"):
+        signed_tiling_solve(region_validate([], allow_empty=True),
+                            padding=-2)
+    with pytest.raises(ValueError, match="padding"):
+        min_stone_probe(region, padding=-2)
 
 
 def test_boundary_obstruction():
