@@ -199,6 +199,8 @@ def cmd_endpoints(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if not 0 < args.scale < float("inf"):
+        raise InputError(f"--scale must be finite and > 0, got {args.scale}")
     if args.subject == "region":
         doc = svg.render_region(load_region(args.infile), args.scale)
     elif args.subject == "tiling":

@@ -20,6 +20,7 @@ Coordinates
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from random import Random
 
@@ -274,18 +275,32 @@ def region_boundary_word(region: Region,
     return BoundaryWord(plane_to_lattice(walk[0]), word)
 
 
-def grow_random_region(rng: Random, n_cells: int, tries: int = 200) -> Region:
-    """Random simply connected region grown by boundary accretion."""
-    for _ in range(tries):
-        cells = {(0, 0)}
-        while len(cells) < n_cells:
-            frontier = sorted({n for c in cells for n in neighbors(c)}
-                              - cells)
-            cells.add(frontier[rng.randrange(len(frontier))])
-        if is_simply_connected(cells):
-            return Region(frozenset(cells))
-    raise RuntimeError(f"no simply connected region of {n_cells} cells "
-                       f"found in {tries} tries")
+def grow_random_region(rng: Random, n_cells: int) -> Region:
+    """Random simply connected region grown by boundary accretion.
+
+    Each step adds a random frontier cell whose k neighbours in the region
+    form one arc of its ring.  That adds one cell, k adjacent pairs and
+    k - 1 triples, so the Euler count of is_simply_connected stays 1."""
+    cells = {(0, 0)}
+    fits = sorted(neighbors((0, 0)))  # such frontier cells, kept sorted
+    while len(cells) < n_cells:
+        cell = fits.pop(rng.randrange(len(fits)))
+        cells.add(cell)
+        for n in neighbors(cell):  # only their rings changed
+            i = bisect_left(fits, n)
+            listed = i < len(fits) and fits[i] == n
+            if n not in cells and _region_arcs(n, cells) == 1:
+                if not listed:
+                    fits.insert(i, n)
+            elif listed:
+                del fits[i]
+    return Region(frozenset(cells))
+
+
+def _region_arcs(cell, cells) -> int:
+    """Number of runs of region cells around the ring of `cell`."""
+    ring = [n in cells for n in neighbors(cell)]
+    return sum(a and not b for a, b in zip(ring, ring[1:] + ring[:1]))
 
 
 # --- region file formats ---------------------------------------------------

@@ -21,15 +21,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .cyclo import IDENTITY, PMClass
-from .hexgrid import STEP_DISPLACEMENTS
-from .words import (STEP_GROUP, canonical_representative, closure_members,
-                    eval_letters)
+from .hexgrid import STEP_DISPLACEMENTS, is_closed
+from .words import (STEP_GROUP, STEP_INVERT, STEP_LETTERS,
+                    canonical_representative, closure_members, eval_letters,
+                    step_word)
 
-LETTERS = "XYZxyz"
-_INVERSE = dict(zip("XYZxyz", "xyzXYZ"))
 # letters that may stand next to each letter in a freely reduced word
-_FOLLOWERS = {last: tuple(ch for ch in LETTERS if ch != _INVERSE[last])
-              for last in LETTERS}
+_FOLLOWERS = {last: tuple(ch for ch in STEP_LETTERS
+                          if ch != last.translate(STEP_INVERT))
+              for last in STEP_LETTERS}
 # cyclically reduced words ending in X cannot also start with x
 START_LETTERS = "XYZyz"
 
@@ -59,15 +59,6 @@ class SearchConfig:
             raise ValueError("max_word_length must be >= 2")
         if self.partitions < 1:
             raise ValueError("partitions must be >= 1")
-
-
-def _word_is_closed(letters: str) -> bool:
-    u = v = 0
-    for ch in letters:
-        du, dv = STEP_DISPLACEMENTS[ch]
-        u += du
-        v += dv
-    return u == 0 and v == 0
 
 
 def _enumerate_partition(args) -> dict:
@@ -112,7 +103,7 @@ def enumerate_identity_words(cfg: SearchConfig = SearchConfig()) -> list:
     merged = {}
     for part in results:
         merged.update(part)
-    records = [RelationRecord(rep, value, length, _word_is_closed(rep))
+    records = [RelationRecord(rep, value, length, is_closed(step_word(rep)))
                for rep, (value, length) in merged.items()]
     records.sort(key=lambda r: (r.length, r.representative))
     return records
@@ -254,7 +245,7 @@ def identity_endpoint_lattice(max_length: int, sign: str = "both") -> list:
         return step[ch][state], (u + du, v + dv)
 
     out = {(0, 0)} if pm[0] in wanted else set()
-    frontier = {(move((0, (0, 0)), ch), ch): 1 for ch in LETTERS}
+    frontier = {(move((0, (0, 0)), ch), ch): 1 for ch in STEP_LETTERS}
     for n in range(max_length):
         if n:
             frontier = _extend(frontier, move)

@@ -147,13 +147,25 @@ def signed_tiling_verify(region: Region, tiling: SignedTiling):
     return None
 
 
-class IntegerLattice:
-    """Row lattice of placement indicator vectors, in Hermite normal form
-    with the transform kept so that particular solutions can be read off.
+def _subtract(row: dict, q: int, base: dict) -> None:
+    """row -= q * base for sparse integer rows, dropping the zeros made."""
+    for k, b in base.items():
+        v = row.get(k, 0) - q * b
+        if v:
+            row[k] = v
+        else:
+            del row[k]
 
-    Targets are integer vectors over the window cells; membership and a
-    particular solution come from forward substitution along the HNF rows.
-    Exact big-integer arithmetic throughout.
+
+class IntegerLattice:
+    """Row lattice of placement indicator vectors, in Hermite normal form.
+
+    Each placement i is one sparse augmented row: keys 0..m-1 are the
+    window cells in sorted order, and key m + i starts as 1, so the
+    placement keys of a reduced row record which combination of
+    placements it is.  Targets are integer vectors over the window cells;
+    membership and a particular solution come from forward substitution
+    along the HNF rows.  Exact big-integer arithmetic throughout.
     """
 
     def __init__(self, placements, window):
@@ -161,73 +173,53 @@ class IntegerLattice:
         self.cells = sorted(window)
         self._cell_index = {c: i for i, c in enumerate(self.cells)}
         n, m = len(self.placements), len(self.cells)
-        rows = []
-        for p in self.placements:
-            row = [0] * m
-            for c in p.cells():
-                row[self._cell_index[c]] = 1
-            rows.append(row)
-        transform = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        rows = [{**{self._cell_index[c]: 1 for c in p.cells()}, m + i: 1}
+                for i, p in enumerate(self.placements)]
         pivots = []
         piv = 0
         for col in range(m):
             if piv == n:
                 break
             # gcd-eliminate column entries below the pivot row
-            nz = [i for i in range(piv, n) if rows[i][col]]
+            nz = [i for i in range(piv, n) if col in rows[i]]
             if not nz:
                 continue
             while len(nz) > 1:
                 nz.sort(key=lambda i: abs(rows[i][col]))
-                base = nz[0]
+                base = rows[nz[0]]
                 for i in nz[1:]:
-                    q = rows[i][col] // rows[base][col]
+                    q = rows[i][col] // base[col]
                     if q:
-                        rows[i] = [a - q * b for a, b in
-                                   zip(rows[i], rows[base])]
-                        transform[i] = [a - q * b for a, b in
-                                        zip(transform[i], transform[base])]
-                nz = [i for i in nz if rows[i][col]]
+                        _subtract(rows[i], q, base)
+                nz = [i for i in nz if col in rows[i]]
             src = nz[0]
             rows[piv], rows[src] = rows[src], rows[piv]
-            transform[piv], transform[src] = transform[src], transform[piv]
             if rows[piv][col] < 0:
-                rows[piv] = [-a for a in rows[piv]]
-                transform[piv] = [-a for a in transform[piv]]
+                rows[piv] = {k: -a for k, a in rows[piv].items()}
             pivots.append((piv, col))
             piv += 1
         self._rows = rows
-        self._transform = transform
         self._pivots = pivots
 
     def solve(self, target: dict):
         """Integer coefficients x with sum x_i * placement_i = target, or
-        None if the target is outside the lattice (window-relative)."""
-        resid = [0] * len(self.cells)
-        for cell, value in target.items():
-            i = self._cell_index.get(cell)
-            if i is None:
-                if value:
-                    return None
-                continue
-            resid[i] = value
-        coeffs_rows = [0] * len(self.placements)
-        for pr, pc in self._pivots:
-            if resid[pc] == 0:
-                continue
-            if resid[pc] % self._rows[pr][pc]:
-                return None
-            t = resid[pc] // self._rows[pr][pc]
-            coeffs_rows[pr] = t
-            resid = [a - t * b for a, b in zip(resid, self._rows[pr])]
-        if any(resid):
+        None if the target is outside the lattice (window-relative).  The
+        residual is one more augmented row, so the placement keys it is
+        left with are -x."""
+        index, m = self._cell_index, len(self.cells)
+        if any(v and c not in index for c, v in target.items()):
             return None
-        x = [0] * len(self.placements)
-        for i, t in enumerate(coeffs_rows):
-            if t:
-                for j, u in enumerate(self._transform[i]):
-                    x[j] += t * u
-        return x
+        resid = {index[c]: v for c, v in target.items() if v}
+        for pr, pc in self._pivots:
+            if pc not in resid:
+                continue
+            row = self._rows[pr]
+            if resid[pc] % row[pc]:
+                return None
+            _subtract(resid, resid[pc] // row[pc], row)
+        if any(k < m for k in resid):
+            return None
+        return [-resid.get(m + j, 0) for j in range(len(self.placements))]
 
 
 def solve_cell_target(target: dict, kinds=KINDS, window=None,

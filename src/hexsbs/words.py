@@ -30,7 +30,7 @@ from .cyclo import (ALPHA, BETA, GAMMA, IDENTITY, Mat2, PMClass, classify_pm)
 STEP_LETTERS = "XYZxyz"
 EDGE_LETTERS = "ABGabg"
 
-_STEP_INVERT = str.maketrans("XYZxyz", "xyzXYZ")
+STEP_INVERT = str.maketrans("XYZxyz", "xyzXYZ")
 _STEP_ROTATE = str.maketrans("XYZxyz", "YZXyzx")
 _EDGE_INVERT = str.maketrans("ABGabg", "abgABG")
 
@@ -75,7 +75,7 @@ def parse_word(text: str, alphabet: str = "step") -> Word:
 
 
 def free_reduce(w: Word) -> Word:
-    table = _STEP_INVERT if w.alphabet == "step" else _EDGE_INVERT
+    table = STEP_INVERT if w.alphabet == "step" else _EDGE_INVERT
     out: list[str] = []
     for ch in w.letters:
         if out and out[-1] == ch.translate(table):
@@ -90,13 +90,13 @@ def is_freely_reduced(w: Word) -> bool:
 
 
 def is_cyclically_reduced(w: Word) -> bool:
-    table = _STEP_INVERT if w.alphabet == "step" else _EDGE_INVERT
+    table = STEP_INVERT if w.alphabet == "step" else _EDGE_INVERT
     s = w.letters
     return is_freely_reduced(w) and not (s and s[0] == s[-1].translate(table))
 
 
 def invert_word(w: Word) -> Word:
-    table = _STEP_INVERT if w.alphabet == "step" else _EDGE_INVERT
+    table = STEP_INVERT if w.alphabet == "step" else _EDGE_INVERT
     return Word(w.alphabet, w.letters[::-1].translate(table))
 
 
@@ -132,7 +132,7 @@ def closure_members(letters: str) -> frozenset:
     rot2 = rot1.translate(_STEP_ROTATE)
     out = set()
     for base in (letters, rot1, rot2):
-        for var in (base, base[::-1].translate(_STEP_INVERT)):
+        for var in (base, base[::-1].translate(STEP_INVERT)):
             if not var:
                 out.add(var)
                 continue

@@ -5,9 +5,9 @@ package: numeric evaluation through a complex embedding of the ring,
 word evaluation and word scans by plain Mat2 products (no group table),
 the census's former per-length count over lazily interned matrices, the
 former bounding-box flood for holes, tiling counts by raw subset search,
-the former recursive exact cover and word-by-word endpoint walk, and group
-orders from a presentation alone by coset enumeration (no matrices at
-all).
+the former recursive exact cover, dense-transform lattice and
+word-by-word endpoint walk, and group orders from a presentation alone by
+coset enumeration (no matrices at all).
 """
 
 from __future__ import annotations
@@ -242,6 +242,91 @@ def recursive_exact_cover(region, kinds=KINDS, mode="first", cap=10 ** 6):
     if mode == "first":
         return list(chosen) if hit else None
     return TilingCount(min(state["count"], cap), state["capped"])
+
+
+class DenseIntegerLattice:
+    """The former signed-tiling lattice: dense rows beside a dense n x n
+    transform, each row operation applied to both.  Row lattice of
+    placement indicator vectors, in Hermite normal form with the transform
+    kept so that particular solutions can be read off.
+
+    Targets are integer vectors over the window cells; membership and a
+    particular solution come from forward substitution along the HNF rows.
+    Exact big-integer arithmetic throughout.
+    """
+
+    def __init__(self, placements, window):
+        self.placements = list(placements)
+        self.cells = sorted(window)
+        self._cell_index = {c: i for i, c in enumerate(self.cells)}
+        n, m = len(self.placements), len(self.cells)
+        rows = []
+        for p in self.placements:
+            row = [0] * m
+            for c in p.cells():
+                row[self._cell_index[c]] = 1
+            rows.append(row)
+        transform = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        pivots = []
+        piv = 0
+        for col in range(m):
+            if piv == n:
+                break
+            # gcd-eliminate column entries below the pivot row
+            nz = [i for i in range(piv, n) if rows[i][col]]
+            if not nz:
+                continue
+            while len(nz) > 1:
+                nz.sort(key=lambda i: abs(rows[i][col]))
+                base = nz[0]
+                for i in nz[1:]:
+                    q = rows[i][col] // rows[base][col]
+                    if q:
+                        rows[i] = [a - q * b for a, b in
+                                   zip(rows[i], rows[base])]
+                        transform[i] = [a - q * b for a, b in
+                                        zip(transform[i], transform[base])]
+                nz = [i for i in nz if rows[i][col]]
+            src = nz[0]
+            rows[piv], rows[src] = rows[src], rows[piv]
+            transform[piv], transform[src] = transform[src], transform[piv]
+            if rows[piv][col] < 0:
+                rows[piv] = [-a for a in rows[piv]]
+                transform[piv] = [-a for a in transform[piv]]
+            pivots.append((piv, col))
+            piv += 1
+        self._rows = rows
+        self._transform = transform
+        self._pivots = pivots
+
+    def solve(self, target: dict):
+        """Integer coefficients x with sum x_i * placement_i = target, or
+        None if the target is outside the lattice (window-relative)."""
+        resid = [0] * len(self.cells)
+        for cell, value in target.items():
+            i = self._cell_index.get(cell)
+            if i is None:
+                if value:
+                    return None
+                continue
+            resid[i] = value
+        coeffs_rows = [0] * len(self.placements)
+        for pr, pc in self._pivots:
+            if resid[pc] == 0:
+                continue
+            if resid[pc] % self._rows[pr][pc]:
+                return None
+            t = resid[pc] // self._rows[pr][pc]
+            coeffs_rows[pr] = t
+            resid = [a - t * b for a, b in zip(resid, self._rows[pr])]
+        if any(resid):
+            return None
+        x = [0] * len(self.placements)
+        for i, t in enumerate(coeffs_rows):
+            if t:
+                for j, u in enumerate(self._transform[i]):
+                    x[j] += t * u
+        return x
 
 
 def endpoints_by_length(max_length: int) -> dict:

@@ -258,6 +258,17 @@ def test_render_region(capsys, tmp_path):
     assert len(polygons) == 7
 
 
+@pytest.mark.parametrize("scale", ["0", "-5", "nan", "inf"])
+def test_render_rejects_bad_scale(capsys, tmp_path, scale):
+    out_file = tmp_path / "hex7.svg"
+    code, out, err = invoke(capsys, "render", "--subject", "region", "--in",
+                            str(FIXTURES / "hex7.json"), "--out",
+                            str(out_file), f"--scale={scale}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--scale" in err and not out_file.exists()
+
+
 def test_render_tiling(capsys, tmp_path):
     out_file = tmp_path / "crescent.svg"
     code, _, _ = invoke(capsys, "render", "--subject", "tiling", "--in",

@@ -211,3 +211,13 @@ def test_grow_random_region_valid():
     for _ in range(25):
         region = grow_random_region(rng, 9)
         assert region_validate(region.cells) == region
+
+
+def test_grow_random_region_large():
+    # the former grower retried whole regions until one had no hole, and
+    # gave up at 150 cells
+    for n in (150, 200, 500):
+        cells = grow_random_region(random.Random(1), n).cells
+        assert len(cells) == n
+        assert is_edge_connected(cells)
+        assert flood_is_simply_connected(cells)

@@ -2,9 +2,11 @@ import inspect
 import itertools
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
+from hexsbs.cli import load_region
 from hexsbs.cyclo import PMClass
 from hexsbs.fixtures import (CRESCENT_CELLS, CRESCENT_CERTIFICATE,
                              CRESCENT_SEQUENCE, BARBELL_CELLS, HEX7_CELLS,
@@ -14,7 +16,7 @@ from hexsbs.fixtures import (CRESCENT_CELLS, CRESCENT_CERTIFICATE,
 from hexsbs.hexgrid import (grow_random_region, is_simply_connected,
                             neighbors, region_boundary_word, region_validate,
                             winding_cells)
-from hexsbs.tiling import (ConstructionStep, IntegerLattice, Placement,
+from hexsbs.tiling import (KINDS, ConstructionStep, IntegerLattice, Placement,
                            SignedTiling, boundary_obstruction_check,
                            constructible_sequence_check, enumerate_placements,
                            min_stone_probe, pad_window, signed_tiling_solve,
@@ -22,7 +24,13 @@ from hexsbs.tiling import (ConstructionStep, IntegerLattice, Placement,
                            standard_tiling_solve, tile_catalog, tile_shape)
 from hexsbs.words import closure, step_word
 
-from oracles import brute_force_tiling_count, recursive_exact_cover
+from oracles import (DenseIntegerLattice, brute_force_tiling_count,
+                     recursive_exact_cover)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# every region fixture but ring6.json, whose hole makes it invalid input
+REGION_FIXTURES = ("bone.json", "crescent.json", "hex7.json", "hex7.txt",
+                   "single_cell.json")
 
 # cell sets enclosed by each tile word, derived independently by tracing
 # the paths on the lattice
@@ -148,6 +156,90 @@ def test_integer_lattice_rejects_unreachable():
     placements = enumerate_placements(window, ("bone",))
     lattice = IntegerLattice(placements, window)
     assert lattice.solve({(0, 0): 1}) is None
+
+
+def assert_lattice_matches_dense(placements, window, targets):
+    """The sparse lattice has the dense oracle's HNF entry for entry, and
+    returns the same coefficient list (or None) for every target."""
+    sparse = IntegerLattice(placements, window)
+    dense = DenseIntegerLattice(placements, window)
+    assert sparse._pivots == dense._pivots
+    for row, cell_part, transform_part in zip(sparse._rows, dense._rows,
+                                              dense._transform):
+        augmented = cell_part + transform_part
+        assert row == {k: v for k, v in enumerate(augmented) if v}
+    answers = [sparse.solve(t) for t in targets]
+    assert answers == [dense.solve(t) for t in targets]
+    return answers
+
+
+def dense_stone_probe(region, padding, monkeypatch):
+    with monkeypatch.context() as patched:
+        patched.setattr("hexsbs.tiling.IntegerLattice",
+                        DenseIntegerLattice)
+        return min_stone_probe(region, padding)
+
+
+def test_lattice_matches_dense_oracle_on_fixtures(monkeypatch):
+    for name in REGION_FIXTURES:
+        region = load_region(str(FIXTURES / name))
+        target = {c: 1 for c in region.cells}
+        for padding in (0, 1, 2):
+            window = pad_window(region.cells, padding)
+            for kinds in (KINDS, ("bone", "snake")):
+                assert_lattice_matches_dense(
+                    enumerate_placements(window, kinds), window, [target])
+            assert min_stone_probe(region, padding) == \
+                dense_stone_probe(region, padding, monkeypatch), \
+                (name, padding)
+
+
+def test_lattice_matches_dense_oracle_on_random_regions(monkeypatch):
+    rng = random.Random(61)
+    solved = 0
+    for _ in range(60):
+        region = grow_random_region(rng, rng.randrange(1, 11))
+        padding = rng.choice([0, 1, 2])
+        window = pad_window(region.cells, padding)
+        kinds = rng.choice([KINDS, ("bone", "snake")])
+        target = {c: 1 for c in region.cells}
+        x, = assert_lattice_matches_dense(
+            enumerate_placements(window, kinds), window, [target])
+        solved += x is not None
+        assert min_stone_probe(region, padding) == \
+            dense_stone_probe(region, padding, monkeypatch)
+    assert 0 < solved < 60
+
+
+def test_lattice_matches_dense_oracle_on_integer_targets():
+    rng = random.Random(62)
+    answers = []
+    for _ in range(12):
+        region = grow_random_region(rng, rng.randrange(1, 8))
+        window = pad_window(region.cells, rng.choice([1, 2]))
+        placements = enumerate_placements(
+            window, rng.choice([KINDS, ("bone", "snake"), ("bone",)]))
+        cells = sorted(window)
+        targets = []
+        for _ in range(10):
+            if rng.random() < 0.5:  # a lattice vector, so solvable
+                target = {}
+                for p in rng.sample(placements, min(4, len(placements))):
+                    k = rng.randint(-3, 3)
+                    for c in p.cells():
+                        target[c] = target.get(c, 0) + k
+            else:
+                target = {c: rng.randint(-3, 3)
+                          for c in rng.sample(cells, rng.randrange(1, 8))}
+            targets.append(target)
+        outside = max(cells)[0] + 1, 0
+        targets.append({**targets[0], outside: 0})  # a zero is no obstacle
+        targets += [{**t, outside: rng.choice([-3, -2, -1, 1, 2, 3])}
+                    for t in targets[:3]]
+        got = assert_lattice_matches_dense(placements, window, targets)
+        assert got[-3:] == [None] * 3
+        answers += got
+    assert sum(x is None for x in answers) < len(answers)
 
 
 def test_signed_tiling_hex7_without_stones():
