@@ -124,9 +124,16 @@ def cmd_solve_exact(args) -> int:
 def cmd_check_sequence(args) -> int:
     try:
         data = json.loads(Path(args.infile).read_text())
-        steps = [construction_step_from_json(obj) for obj in data]
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         raise InputError(f"{args.infile}: {e}") from e
+    if not isinstance(data, list):
+        raise InputError(f"{args.infile}: a sequence must be a list of steps")
+    steps = []
+    for i, obj in enumerate(data):
+        try:
+            steps.append(construction_step_from_json(obj))
+        except (KeyError, ValueError) as e:
+            raise InputError(f"{args.infile}: step {i}: {e}") from e
     report = constructible_sequence_check(steps)
     _emit(report.to_json())
     return 0 if report.valid else 1
@@ -211,12 +218,12 @@ def cmd_render(args) -> int:
         region = None
         entries = data
         if isinstance(data, dict):
-            entries = data["certificate"]
+            entries = data.get("certificate")
             if "region" in data:
                 region = region_from_json(json.dumps(data["region"]))
         try:
             tiling = SignedTiling.from_json(entries)
-        except (KeyError, ValueError) as e:
+        except ValueError as e:
             raise InputError(f"{args.infile}: {e}") from e
         doc = svg.render_tiling(tiling, args.scale, region)
     else:

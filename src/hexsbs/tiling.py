@@ -11,6 +11,7 @@ and reports failure as window-relative, never as a global impossibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import islice
 
 from . import fixtures
@@ -81,8 +82,16 @@ class Placement:
 
 
 def placement_from_json(obj: dict) -> Placement:
+    """A placement from {"kind", "orientation", "anchor": [q, r]}; the
+    anchor must be a pair of integers, not booleans or floats."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{obj!r} is not an object")
+    anchor = obj["anchor"]
+    if (not isinstance(anchor, (list, tuple)) or len(anchor) != 2
+            or any(type(x) is not int for x in anchor)):
+        raise ValueError(f"anchor {anchor!r} is not a pair of integers")
     return Placement(tile_shape(obj["kind"], obj["orientation"]),
-                     tuple(obj["anchor"]))
+                     tuple(anchor))
 
 
 def pad_window(cells, padding: int) -> frozenset:
@@ -102,14 +111,10 @@ def enumerate_placements(window, kinds=KINDS) -> list:
     for shape in _CATALOG:
         if shape.kind not in kinds:
             continue
-        anchors = set()
-        for wq, wr in window:
-            for oq, orr in shape.cells:
-                anchors.add((wq - oq, wr - orr))
-        for anchor in sorted(anchors):
-            p = Placement(shape, anchor)
-            if p.cells() <= window:
-                out.append(p)
+        # an anchor fits when it puts every cell offset on the window
+        anchors = set.intersection(*({(wq - oq, wr - orr) for wq, wr in window}
+                                     for oq, orr in shape.cells))
+        out.extend(Placement(shape, a) for a in sorted(anchors))
     return out
 
 
@@ -124,8 +129,20 @@ class SignedTiling:
 
     @classmethod
     def from_json(cls, data) -> "SignedTiling":
-        return cls(tuple((placement_from_json(e), int(e["coeff"]))
-                         for e in data))
+        """Strict: a list of placement objects, each with an integer
+        "coeff"; the first bad entry is named by its index."""
+        if not isinstance(data, list):
+            raise ValueError("a tiling must be a list of placements")
+        entries = []
+        for i, e in enumerate(data):
+            try:
+                placement, coeff = placement_from_json(e), e["coeff"]
+                if type(coeff) is not int:
+                    raise ValueError(f"coeff {coeff!r} is not an integer")
+            except (KeyError, ValueError) as err:
+                raise ValueError(f"entry {i}: {err}") from err
+            entries.append((placement, coeff))
+        return cls(tuple(entries))
 
     def net_coverage(self) -> dict:
         cov = {}
@@ -267,29 +284,70 @@ def _exact_covers(cells, placements):
     """Yield each exact cover of `cells` by `placements`, which must lie
     inside it, as a list in the order chosen.  Depth first on an explicit
     stack: each level takes the uncovered cell with the fewest fitting
-    candidates, ties by cell order, and tries them in placement order."""
-    by_cell = {c: [] for c in cells}  # cell -> [(placement, its cells)]
-    for p in placements:
-        pc = p.cells()
-        for c in pc:
-            by_cell[c].append((p, pc))
-    uncovered = set(cells)
-    chosen = []  # (placement, its cells) taken at each level
+    candidates, ties by cell order, and tries them in placement order.
+
+    The counts are kept as in Knuth's dancing links: `dead[p]` is the
+    number of covered cells of placement p, and `live[c]` the number of
+    candidates of cell c with no covered cell.  Taking or returning a
+    tile updates only the placements that meet it, and a heap of
+    (live, cell) entries, stale ones skipped, gives the choice; so a step
+    costs the same however large the region is.
+    """
+    order = sorted(cells)
+    index = {c: i for i, c in enumerate(order)}
+    n = len(order)
+    tiles = [[index[c] for c in p.cells()] for p in placements]
+    cands = [[] for _ in range(n)]  # cell -> placements, in their order
+    for i, t in enumerate(tiles):
+        for c in t:
+            cands[c].append(i)
+    live = [len(cs) for cs in cands]
+    dead = [0] * len(tiles)
+    covered = [False] * n
+    heap = sorted(zip(live, range(n)))  # a sorted list is a heap
+    remaining = n
+    chosen = []  # the placement taken at each level
     levels = []  # the fitting candidates of each level's cell, lazily
     while True:
-        if uncovered:
-            cell = min(uncovered, key=lambda c: (
-                sum(pc <= uncovered for _, pc in by_cell[c]), c))
-            levels.append(e for e in by_cell[cell] if e[1] <= uncovered)
+        if remaining:
+            if len(heap) > 2 * n:  # drop the stale entries in one pass
+                heap = [(live[c], c) for c in range(n) if not covered[c]]
+                heapify(heap)
+            while covered[heap[0][1]] or live[heap[0][1]] != heap[0][0]:
+                heappop(heap)
+            cell = heap[0][1]
+            levels.append(p for p in cands[cell] if not dead[p])
         else:
-            yield [p for p, _ in chosen]
+            yield [placements[i] for i in chosen]
         while levels:  # take the next candidate, backtracking
-            if len(chosen) == len(levels):
-                uncovered.update(chosen.pop()[1])
+            if len(chosen) == len(levels):  # return the level's tile
+                tile = tiles[chosen.pop()]
+                remaining += len(tile)
+                for c in tile:
+                    covered[c] = False
+                for c in tile:
+                    for p in cands[c]:
+                        dead[p] -= 1
+                        if not dead[p]:
+                            for d in tiles[p]:
+                                live[d] += 1
+                                if not covered[d]:
+                                    heappush(heap, (live[d], d))
             nxt = next(levels[-1], None)
             if nxt is not None:
                 chosen.append(nxt)
-                uncovered.difference_update(nxt[1])
+                tile = tiles[nxt]
+                remaining -= len(tile)
+                for c in tile:
+                    covered[c] = True
+                for c in tile:
+                    for p in cands[c]:
+                        dead[p] += 1
+                        if dead[p] == 1:
+                            for d in tiles[p]:
+                                live[d] -= 1
+                                if not covered[d]:
+                                    heappush(heap, (live[d], d))
                 break
             levels.pop()
         else:
@@ -302,8 +360,11 @@ def standard_tiling_solve(region: Region, kinds=KINDS, mode: str = "first",
 
     mode "first": a placement list, or None.
     mode "count": TilingCount; exact when cap is not exceeded.
-    The empty region has one cover, the empty one.  The search is
-    iterative, so its depth is not limited by the recursion limit.
+    The empty region has one cover, the empty one.  Covers come in a
+    fixed order: fewest fitting candidates first, ties by cell order,
+    candidates in placement order.  The search is iterative, so its depth
+    is not limited by the recursion limit, and it keeps its candidate
+    counts live, so a bar of n bones takes time linear in n.
     """
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -333,9 +394,10 @@ class ConstructionStep:
 
 
 def construction_step_from_json(obj: dict) -> ConstructionStep:
+    placement = placement_from_json(obj)
     if obj.get("action") not in ("add", "remove"):
         raise ValueError(f"bad action {obj.get('action')!r}")
-    return ConstructionStep(obj["action"], placement_from_json(obj))
+    return ConstructionStep(obj["action"], placement)
 
 
 @dataclass(frozen=True)

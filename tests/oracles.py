@@ -5,9 +5,10 @@ package: numeric evaluation through a complex embedding of the ring,
 word evaluation and word scans by plain Mat2 products (no group table),
 the census's former per-length count over lazily interned matrices, the
 former bounding-box flood for holes, tiling counts by raw subset search,
-the former recursive exact cover, dense-transform lattice and
-word-by-word endpoint walk, and group orders from a presentation alone by
-coset enumeration (no matrices at all).
+the former anchor-scan placement enumeration, the former recursive and
+rescanning exact covers, dense-transform lattice and word-by-word
+endpoint walk, and group orders from a presentation alone by coset
+enumeration (no matrices at all).
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import itertools
 from hexsbs.cyclo import (IDENTITY, MINUS_IDENTITY, CycInt, Mat2, PMClass,
                           classify_pm)
 from hexsbs.hexgrid import STEP_DISPLACEMENTS, neighbors
-from hexsbs.tiling import KINDS, TilingCount, enumerate_placements
+from hexsbs.tiling import (KINDS, Placement, TilingCount, enumerate_placements,
+                           tile_catalog)
 from hexsbs.words import (STEP_GROUP, STEP_MATRICES, Word, closure_members,
                           eval_word)
 
@@ -201,6 +203,26 @@ def brute_force_tiling_count(region_cells, placements) -> int:
     return count
 
 
+def anchor_scan_placements(window, kinds=KINDS) -> list:
+    """The former placement enumeration: every anchor that puts some cell
+    of the shape on the window, in sorted order, kept when the whole
+    placement's cell set lies inside the window."""
+    window = frozenset(window)
+    out = []
+    for shape in tile_catalog():
+        if shape.kind not in kinds:
+            continue
+        anchors = set()
+        for wq, wr in window:
+            for oq, orr in shape.cells:
+                anchors.add((wq - oq, wr - orr))
+        for anchor in sorted(anchors):
+            p = Placement(shape, anchor)
+            if p.cells() <= window:
+                out.append(p)
+    return out
+
+
 def recursive_exact_cover(region, kinds=KINDS, mode="first", cap=10 ** 6):
     """The former exact cover: one recursive call per placed tile, least
     candidates cell first, ties by cell order.  Returns what
@@ -242,6 +264,41 @@ def recursive_exact_cover(region, kinds=KINDS, mode="first", cap=10 ** 6):
     if mode == "first":
         return list(chosen) if hit else None
     return TilingCount(min(state["count"], cap), state["capped"])
+
+
+def rescan_exact_covers(cells, placements):
+    """The former exact-cover generator, which rescans every uncovered
+    cell at each level to choose the next one.  Yields each exact cover
+    of `cells` by `placements`, which must lie inside it, as a list in
+    the order chosen.  Depth first on an explicit stack: each level takes
+    the uncovered cell with the fewest fitting candidates, ties by cell
+    order, and tries them in placement order."""
+    by_cell = {c: [] for c in cells}  # cell -> [(placement, its cells)]
+    for p in placements:
+        pc = p.cells()
+        for c in pc:
+            by_cell[c].append((p, pc))
+    uncovered = set(cells)
+    chosen = []  # (placement, its cells) taken at each level
+    levels = []  # the fitting candidates of each level's cell, lazily
+    while True:
+        if uncovered:
+            cell = min(uncovered, key=lambda c: (
+                sum(pc <= uncovered for _, pc in by_cell[c]), c))
+            levels.append(e for e in by_cell[cell] if e[1] <= uncovered)
+        else:
+            yield [p for p, _ in chosen]
+        while levels:  # take the next candidate, backtracking
+            if len(chosen) == len(levels):
+                uncovered.update(chosen.pop()[1])
+            nxt = next(levels[-1], None)
+            if nxt is not None:
+                chosen.append(nxt)
+                uncovered.difference_update(nxt[1])
+                break
+            levels.pop()
+        else:
+            return
 
 
 class DenseIntegerLattice:

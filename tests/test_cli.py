@@ -248,6 +248,51 @@ def test_negative_numeric_option_exits_2(capsys, argv, option):
     assert option in err
 
 
+BONE_STEP = {"action": "add", "kind": "bone", "orientation": "left",
+             "anchor": [0, 0]}
+
+
+@pytest.mark.parametrize("data, where", [
+    ([{**BONE_STEP, "anchor": [1.0, True]}], "step 0"),
+    ([BONE_STEP, {**BONE_STEP, "anchor": [3, True]}], "step 1"),
+    ([BONE_STEP, {**BONE_STEP, "anchor": [3]}], "step 1"),
+    ([BONE_STEP, 5], "step 1"),
+    ({}, "list"),
+    (BONE_STEP, "list"),
+])
+def test_check_sequence_rejects_malformed_steps(capsys, tmp_path, data,
+                                                where):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "check-sequence", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert where in err
+
+
+@pytest.mark.parametrize("edit, where", [
+    ({"coeff": 1.7}, "entry 1"),
+    ({"coeff": True}, "entry 1"),
+    ({"anchor": [0, 0.0]}, "entry 1"),
+    ({"anchor": [False, 0]}, "entry 1"),
+    (None, "list"),
+])
+def test_render_tiling_rejects_malformed_entries(capsys, tmp_path, edit,
+                                                 where):
+    data = json.loads((FIXTURES / "crescent_tiling.json").read_text())
+    if edit is None:
+        del data["certificate"]
+    else:
+        data["certificate"][1].update(edit)
+    path, out_file = tmp_path / "bad.json", tmp_path / "bad.svg"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "render", "--subject", "tiling", "--in",
+                            str(path), "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert where in err and not out_file.exists()
+
+
 def test_render_region(capsys, tmp_path):
     out_file = tmp_path / "hex7.svg"
     code, _, _ = invoke(capsys, "render", "--subject", "region", "--in",

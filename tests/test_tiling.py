@@ -2,9 +2,13 @@ import inspect
 import itertools
 import random
 import sys
+import time
+from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hexsbs.cli import load_region
 from hexsbs.cyclo import PMClass
@@ -17,15 +21,17 @@ from hexsbs.hexgrid import (grow_random_region, is_simply_connected,
                             neighbors, region_boundary_word, region_validate,
                             winding_cells)
 from hexsbs.tiling import (KINDS, ConstructionStep, IntegerLattice, Placement,
-                           SignedTiling, boundary_obstruction_check,
+                           SignedTiling, _exact_covers,
+                           boundary_obstruction_check,
                            constructible_sequence_check, enumerate_placements,
                            min_stone_probe, pad_window, signed_tiling_solve,
                            signed_tiling_verify, solve_cell_target,
                            standard_tiling_solve, tile_catalog, tile_shape)
 from hexsbs.words import closure, step_word
 
-from oracles import (DenseIntegerLattice, brute_force_tiling_count,
-                     recursive_exact_cover)
+from oracles import (DenseIntegerLattice, anchor_scan_placements,
+                     brute_force_tiling_count, recursive_exact_cover,
+                     rescan_exact_covers)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # every region fixture but ring6.json, whose hole makes it invalid input
@@ -125,6 +131,22 @@ def test_enumerate_placements_window_count():
     got = enumerate_placements(window)
     assert len(got) == count
     assert len(set(got)) == count
+
+
+def test_enumerate_placements_matches_anchor_scan():
+    rng = random.Random(58)
+    regions = [load_region(str(FIXTURES / name)) for name in REGION_FIXTURES]
+    regions += [grow_random_region(rng, rng.randrange(1, 40))
+                for _ in range(20)]
+    regions += [tile_built_region(rng, rng.randrange(1, 12))
+                for _ in range(20)]
+    for region in regions:
+        for padding in (0, 1, 2):
+            window = pad_window(region.cells, padding)
+            for kinds in (KINDS, ("bone",), ("bone", "snake"), ("stone",)):
+                assert enumerate_placements(window, kinds) == \
+                    anchor_scan_placements(window, kinds), \
+                    (sorted(region.cells), padding, kinds)
 
 
 def test_integer_lattice_solves_combinations():
@@ -412,6 +434,41 @@ def test_exact_cover_matches_recursive_oracle():
     # every cap is exceeded on some regions and not on others
     assert sum(n == 0 for n in totals) >= 10
     assert sum(n > 2 for n in totals) >= 10
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       built=st.booleans(),
+       kinds=st.sampled_from([("bone",), ("bone", "snake"), KINDS]),
+       cap=st.sampled_from([0, 1, 2, 5, 100]))
+@example(seed=0, built=False, kinds=("bone",), cap=3)  # no cover
+def test_exact_cover_sequence_matches_rescan_oracle(seed, built, kinds, cap):
+    # the same covers in the same order, each in the same placement order
+    rng = random.Random(seed)
+    if built:
+        region = tile_built_region(rng, rng.randrange(1, 9))
+    else:
+        region = grow_random_region(rng, rng.randrange(1, 25))
+    placements = enumerate_placements(region.cells, kinds)
+    got = list(islice(_exact_covers(region.cells, placements), cap + 1))
+    want = list(islice(rescan_exact_covers(region.cells, placements),
+                       cap + 1))
+    assert got == want
+
+
+@pytest.mark.parametrize("length, tiles", [(6000, 2000), (3001, None)])
+def test_exact_cover_linear_on_long_bars(length, tiles):
+    # the rescanning search is quadratic: 3.1 s on a 1000-bone bar (2 cores)
+    bar = region_validate([(0, r) for r in range(length)])
+    start = time.perf_counter()
+    first = standard_tiling_solve(bar, ("bone",))
+    assert time.perf_counter() - start < 3
+    if tiles is None:
+        assert first is None
+    else:
+        assert len(first) == tiles
+        tiling = SignedTiling(tuple((p, 1) for p in first))
+        assert signed_tiling_verify(bar, tiling) is None
 
 
 def test_exact_cover_deeper_than_recursion_limit():
