@@ -24,7 +24,8 @@ from .search import (SearchConfig, enumerate_identity_words,
 from .tiling import (KINDS, SignedTiling, boundary_obstruction_check,
                      constructible_sequence_check,
                      construction_step_from_json, min_stone_probe,
-                     signed_tiling_solve, standard_tiling_solve, tile_catalog)
+                     signed_tiling_solve, signed_tiling_verify,
+                     standard_tiling_solve, tile_catalog)
 from .words import (STEP_MATRICES, Word, WordError, classify_pm,
                     eval_letters, parse_word)
 
@@ -225,6 +226,10 @@ def cmd_render(args) -> int:
             tiling = SignedTiling.from_json(entries)
         except ValueError as e:
             raise InputError(f"{args.infile}: {e}") from e
+        bad = None if region is None else signed_tiling_verify(region, tiling)
+        if bad is not None:
+            raise InputError(f"{args.infile}: the certificate does not tile "
+                             f"the region at cell {list(bad[0])}")
         doc = svg.render_tiling(tiling, args.scale, region)
     else:
         doc = svg.render_path(load_word(args.infile), scale=args.scale)

@@ -15,25 +15,24 @@ Coordinates
 * A written step word is traversed from its rightmost letter (see
   :mod:`hexsbs.words`), so boundary extraction records the
   counterclockwise walk and then reverses it.
+* A region is tested by one boundary walk, kept with the Region; the step
+  word is read off it only when asked for.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 
-from .words import Word, WordError, step_word
+from .words import STEP_TO_EDGES, Word, WordError, step_word
 
 Cell = tuple  # (q, r)
 LatticePoint = tuple  # (u, v)
 
 # neighbor offsets indexed like the cell's CCW boundary edges below
 NEIGHBOR_OFFSETS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
-
-STEP_DISPLACEMENTS = {"X": (0, 1), "Y": (-1, 0), "Z": (1, -1),
-                      "x": (0, -1), "y": (1, 0), "z": (-1, 1)}
 
 
 class RegionError(ValueError):
@@ -63,6 +62,22 @@ def cell_vertices_plane(cell: Cell):
     cx, cy = cell_center_plane(cell)
     return ((cx + 2, cy), (cx + 1, cy + 1), (cx - 1, cy + 1),
             (cx - 2, cy), (cx - 1, cy - 1), (cx + 1, cy - 1))
+
+
+# the letter of edge k of a cell, which runs from its corner k to k + 1
+_EDGE_LETTERS = "BGabgA"
+_CORNERS = cell_vertices_plane((0, 0))
+_EDGE_DELTAS = {e: (x2 - x1, y2 - y1) for e, (x1, y1), (x2, y2)
+                in zip(_EDGE_LETTERS, _CORNERS, _CORNERS[1:] + _CORNERS[:1])}
+# step letter -> its edge displacements as walked: its STEP_TO_EDGES pair
+# reversed, since the rightmost letter of a written word is walked first
+STEP_EDGE_DELTAS = {step: tuple(_EDGE_DELTAS[e] for e in reversed(pair))
+                    for step, pair in STEP_TO_EDGES.items()}
+STEP_DISPLACEMENTS = {  # on the lattice of shaded vertices
+    step: plane_to_lattice(tuple(map(sum, zip(lattice_to_plane((0, 0)), *ds))))
+    for step, ds in STEP_EDGE_DELTAS.items()}
+# time-ordered edge pair (from a shaded vertex) -> step letter
+_STEP_BY_EDGE_PAIR = {pair[::-1]: step for step, pair in STEP_TO_EDGES.items()}
 
 
 def path_endpoint(start: LatticePoint, w: Word) -> LatticePoint:
@@ -122,9 +137,14 @@ def winding_cells(w: Word, start: LatticePoint = (0, 0)) -> dict:
 
 @dataclass(frozen=True)
 class Region:
-    """A finite, edge-connected, simply connected set of cells."""
+    """A finite, edge-connected, simply connected set of cells.
+
+    `walk` is the (cell, k, edge letters) that region_validate's
+    _boundary_walk returned; a Region built directly has none, and
+    region_boundary_word makes, and so checks, its walk then."""
 
     cells: frozenset
+    walk: tuple | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -156,27 +176,41 @@ def is_edge_connected(cells) -> bool:
     return len(seen) == len(cells)
 
 
-def is_simply_connected(cells) -> bool:
-    """No holes, for an edge-connected cell set (callers check that first).
+def _walk_from(cells, cell: Cell, k: int) -> str:
+    """Edge letters of the boundary cycle from boundary edge k of `cell`,
+    region on the left.  At the head of edge k the walk turns onto edge
+    k + 1 of the same cell, or, if the neighbor across that edge is in
+    `cells`, goes on along that neighbor's edge k - 1."""
+    q0, r0 = q, r = cell
+    k0 = k
+    letters = []
+    while True:
+        letters.append(_EDGE_LETTERS[k])
+        dq, dr = NEIGHBOR_OFFSETS[(k + 1) % 6]
+        if (q + dq, r + dr) in cells:
+            q, r, k = q + dq, r + dr, (k - 1) % 6
+        else:
+            k = (k + 1) % 6
+        if k == k0 and q == q0 and r == r0:
+            return "".join(letters)
 
-    Two closed cells meet exactly when adjacent, three exactly when they
-    share a grid vertex, four never; so by the nerve theorem the union has
-    Euler characteristic F - P + T (cells, adjacent pairs, mutually
-    adjacent triples), which is 1 exactly when a connected union has no
-    holes.
-    """
-    cells = set(cells)
-    if not cells:
-        return True
-    pairs = triples = 0
-    for q, r in cells:
-        east = (q + 1, r) in cells
-        north = (q, r + 1) in cells
-        south_east = (q + 1, r - 1) in cells
-        pairs += east + north + south_east
-        # each triangle counted once, at its lowest westmost cell
-        triples += (east and north) + (south_east and east)
-    return len(cells) - pairs + triples == 1
+
+def _boundary_walk(cells) -> tuple:
+    """(cell, k, edge letters) of the walk from edge k of `cell`, the least
+    boundary edge.  Each grid vertex has degree 3, so the boundary edges
+    form disjoint simple cycles, one per piece and one per hole; a walk
+    that leaves some unused (6 per cell, less 2 per adjacent pair) is a
+    RegionError, and only then does a flood name the fault."""
+    cell = min(cells)
+    k = next(k for k, n in enumerate(neighbors(cell)) if n not in cells)
+    letters = _walk_from(cells, cell, k)
+    pairs = sum(((q + 1, r) in cells) + ((q, r + 1) in cells)
+                + ((q + 1, r - 1) in cells) for q, r in cells)
+    if len(letters) != 6 * len(cells) - 2 * pairs:
+        if not is_edge_connected(cells):
+            raise RegionError("region is not edge-connected")
+        raise RegionError("region is not simply connected (hole detected)")
+    return cell, k, letters
 
 
 def region_validate(cells, allow_empty: bool = False) -> Region:
@@ -198,11 +232,7 @@ def region_validate(cells, allow_empty: bool = False) -> Region:
         if allow_empty:
             return Region(cell_set)
         raise RegionError("empty region")
-    if not is_edge_connected(cell_set):
-        raise RegionError("region is not edge-connected")
-    if not is_simply_connected(cell_set):
-        raise RegionError("region is not simply connected (hole detected)")
-    return Region(cell_set)
+    return Region(cell_set, _boundary_walk(cell_set))
 
 
 @dataclass(frozen=True)
@@ -218,28 +248,6 @@ class BoundaryWord:
         return {"start": list(self.start), "word": self.word.letters}
 
 
-_EDGE_LETTER_BY_DELTA = {(1, 1): "A", (-1, 1): "B", (-2, 0): "G",
-                         (-1, -1): "a", (1, -1): "b", (2, 0): "g"}
-# time-ordered edge pair (from a shaded vertex) -> step letter
-_STEP_BY_EDGE_PAIR = {("A", "B"): "X", ("G", "a"): "Y", ("b", "g"): "Z",
-                      ("b", "a"): "x", ("A", "g"): "y", ("G", "B"): "z"}
-
-
-def boundary_edges(region: Region) -> dict:
-    """Directed boundary edges (tail plane point -> head plane point),
-    oriented CCW so the region is on the left."""
-    out = {}
-    for cell in region.sorted_cells():
-        vs = cell_vertices_plane(cell)
-        for k, (dq, dr) in enumerate(NEIGHBOR_OFFSETS):
-            if (cell[0] + dq, cell[1] + dr) not in region.cells:
-                tail, head = vs[k], vs[(k + 1) % 6]
-                if tail in out:
-                    raise RegionError("boundary touches itself at a vertex")
-                out[tail] = (head, cell, k)
-    return out
-
-
 def region_boundary_word(region: Region,
                          start_choice: tuple | None = None) -> BoundaryWord:
     """Extract the CCW boundary as a step word.
@@ -249,30 +257,24 @@ def region_boundary_word(region: Region,
     either way the walk is aligned to begin at a shaded vertex before step
     letters are read off, and the written word is the reversed walk.
     """
-    if not region.cells:
+    cells = region.cells
+    if not cells:
         raise RegionError("empty region has no boundary word")
-    edges = boundary_edges(region)
-    if start_choice is None:
-        cell, k = min((cell, k) for _, (h, cell, k) in edges.items())
-    else:
+    cell, k, letters = region.walk or _boundary_walk(cells)
+    if start_choice is not None:
         cell, k = start_choice
-    start_tail = cell_vertices_plane(cell)[k]
-    if start_tail not in edges:
-        raise RegionError(f"({cell}, {k}) is not a boundary edge")
-    walk = [start_tail]
-    cur = edges[start_tail][0]
-    while cur != start_tail:
-        walk.append(cur)
-        cur = edges[cur][0]
-    if walk[0][0] % 3 != 1:  # align to a shaded tail
-        walk = walk[1:] + walk[:1]
-    letters = []
-    for t, h in zip(walk, walk[1:] + walk[:1]):
-        letters.append(_EDGE_LETTER_BY_DELTA[(h[0] - t[0], h[1] - t[1])])
-    steps = [_STEP_BY_EDGE_PAIR[(letters[i], letters[i + 1])]
+        if cell not in cells or list(neighbors(cell))[k] in cells:
+            raise RegionError(f"({cell}, {k}) is not a boundary edge")
+        letters = _walk_from(cells, cell, k)
+    x, y = cell_vertices_plane(cell)[k]
+    if x % 3 != 1:  # align to a shaded tail
+        dx, dy = _EDGE_DELTAS[letters[0]]
+        x, y = x + dx, y + dy
+        letters = letters[1:] + letters[:1]
+    steps = [_STEP_BY_EDGE_PAIR[letters[i:i + 2]]
              for i in range(0, len(letters), 2)]
-    word = step_word("".join(reversed(steps)))
-    return BoundaryWord(plane_to_lattice(walk[0]), word)
+    return BoundaryWord(plane_to_lattice((x, y)),
+                        step_word("".join(reversed(steps))))
 
 
 def grow_random_region(rng: Random, n_cells: int) -> Region:
@@ -280,7 +282,9 @@ def grow_random_region(rng: Random, n_cells: int) -> Region:
 
     Each step adds a random frontier cell whose k neighbours in the region
     form one arc of its ring.  That adds one cell, k adjacent pairs and
-    k - 1 triples, so the Euler count of is_simply_connected stays 1."""
+    k - 1 mutually adjacent triples, so cells - pairs + triples, the Euler
+    characteristic of the union, stays 1: the region stays connected and
+    gains no hole."""
     cells = {(0, 0)}
     fits = sorted(neighbors((0, 0)))  # such frontier cells, kept sorted
     while len(cells) < n_cells:

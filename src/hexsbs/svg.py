@@ -8,23 +8,14 @@ scale, so repeated renders are byte-identical.
 
 from __future__ import annotations
 
-from .hexgrid import (Region, cell_vertices_plane, lattice_to_plane)
+from .hexgrid import (STEP_EDGE_DELTAS, Region, cell_vertices_plane,
+                      lattice_to_plane)
 from .tiling import SignedTiling
 from .words import Word
 
 _SQRT3_2 = 0.8660254037844386
 
 KIND_COLORS = {"bone": "#7cb342", "stone": "#26a69a", "snake": "#8e24aa"}
-
-# step letter -> the two edge displacements walked, in time order
-_STEP_EDGES = {
-    "X": ((1, 1), (-1, 1)),
-    "Y": ((-2, 0), (-1, -1)),
-    "Z": ((1, -1), (2, 0)),
-    "x": ((1, -1), (-1, -1)),
-    "y": ((1, 1), (2, 0)),
-    "z": ((-2, 0), (-1, 1)),
-}
 
 
 def _xy(point, scale):
@@ -112,7 +103,7 @@ def render_path(word: Word, start=(0, 0), scale: float = 24.0) -> str:
     x, y = lattice_to_plane(start)
     pts = [(x, y)]
     for ch in reversed(word.letters):
-        for dx, dy in _STEP_EDGES[ch]:
+        for dx, dy in STEP_EDGE_DELTAS[ch]:
             x, y = x + dx, y + dy
             pts.append((x, y))
     doc = _Doc()

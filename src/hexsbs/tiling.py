@@ -16,8 +16,8 @@ from itertools import islice
 
 from . import fixtures
 from .cyclo import PMClass
-from .hexgrid import (Region, is_edge_connected, is_simply_connected,
-                      neighbors, region_boundary_word, winding_cells)
+from .hexgrid import (Region, RegionError, neighbors, region_boundary_word,
+                      winding_cells)
 from .words import Word, classify_pm, eval_word, step_word
 
 KINDS = ("bone", "stone", "snake")
@@ -129,16 +129,16 @@ class SignedTiling:
 
     @classmethod
     def from_json(cls, data) -> "SignedTiling":
-        """Strict: a list of placement objects, each with an integer
-        "coeff"; the first bad entry is named by its index."""
+        """Strict: a list of placement objects, each with a "coeff" of 1
+        or -1; the first bad entry is named by its index."""
         if not isinstance(data, list):
             raise ValueError("a tiling must be a list of placements")
         entries = []
         for i, e in enumerate(data):
             try:
                 placement, coeff = placement_from_json(e), e["coeff"]
-                if type(coeff) is not int:
-                    raise ValueError(f"coeff {coeff!r} is not an integer")
+                if type(coeff) is not int or coeff not in (1, -1):
+                    raise ValueError(f"coeff {coeff!r} is not 1 or -1")
             except (KeyError, ValueError) as err:
                 raise ValueError(f"entry {i}: {err}") from err
             entries.append((placement, coeff))
@@ -441,7 +441,10 @@ def constructible_sequence_check(steps) -> SequenceReport:
     touch the support boundary (first step exempt).  Each step's directly
     evaluated boundary class must equal the stone-parity ledger
     (-1)^(#stone steps so far); removing a stone flips the sign, bones and
-    snakes leave it unchanged.
+    snakes leave it unchanged.  One boundary walk per step checks the
+    support and gives its class.  A touching add cannot disconnect a
+    region, nor a remove touching its connected complement puncture it,
+    so a RegionError names the fault.
     """
     support = set()
     stone_steps = 0
@@ -469,12 +472,12 @@ def constructible_sequence_check(steps) -> SequenceReport:
         support = support | cells if step.action == "add" else support - cells
         if kind == "stone":
             stone_steps += 1
-        if not is_edge_connected(support):
-            return fail(i, "disconnected")
-        if not is_simply_connected(support):
-            return fail(i, "puncture")
         if support:
-            klass = boundary_obstruction_check(Region(frozenset(support)))
+            try:
+                klass = boundary_obstruction_check(Region(frozenset(support)))
+            except RegionError:
+                return fail(i, "puncture" if step.action == "add"
+                            else "disconnected")
         else:
             klass = PMClass.PLUS_IDENTITY
         sign = -1 if stone_steps % 2 else 1
@@ -511,23 +514,18 @@ class StoneProbe:
 def min_stone_probe(region: Region, padding: int = 2) -> StoneProbe:
     klass = boundary_obstruction_check(region)
     window = pad_window(region.cells, padding)
+    if klass is PMClass.OTHER:  # no signed tiling, with stones or without
+        return StoneProbe(None, klass, None)
     quiet = enumerate_placements(window, ("bone", "snake"))
     lattice = IntegerLattice(quiet, window)
     target = {c: 1 for c in region.cells}
-
-    def consistency(parity):
-        if klass is PMClass.OTHER:
-            return None
-        expected = PMClass.MINUS_IDENTITY if parity else PMClass.PLUS_IDENTITY
-        return klass is expected
-
     if lattice.solve(target) is not None:
-        return StoneProbe(0, klass, consistency(0))
+        return StoneProbe(0, klass, klass is PMClass.PLUS_IDENTITY)
     for stone in enumerate_placements(window, ("stone",)):
         for sign in (1, -1):
             shifted = dict(target)
             for c in stone.cells():
                 shifted[c] = shifted.get(c, 0) - sign
             if lattice.solve(shifted) is not None:
-                return StoneProbe(1, klass, consistency(1))
+                return StoneProbe(1, klass, klass is PMClass.MINUS_IDENTITY)
     return StoneProbe(None, klass, None)

@@ -17,8 +17,11 @@ tracer = worker.Tracer()
 worker.instrument(tracer)
 tracer.enabled = True
 tracer.op = 0
-code = worker.call(cli, ["solve-signed", "--in", "fixtures/hex7.json"])[0]
-print(json.dumps([code, sorted({s[3] for s in tracer.spans})]))
+codes = [worker.call(cli, argv.split())[0] for argv in (
+    "solve-signed --in fixtures/hex7.json",
+    "check-region --in fixtures/hex7.json",
+    "check-sequence --in fixtures/seq_2x2x2_left.json")]
+print(json.dumps([codes, sorted({s[3] for s in tracer.spans})]))
 """
 
 
@@ -28,7 +31,8 @@ def test_instrument_wraps_every_traced_layer():
         [sys.executable, "-B", "-c", CHILD], capture_output=True, text=True,
         cwd=str(ROOT), env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, spans = json.loads(proc.stdout)
-    assert code == 0
+    codes, spans = json.loads(proc.stdout)
+    assert codes == [0, 0, 0]
     assert {"cli", "hexgrid.load", "tiling.signed", "tiling.placements",
-            "tiling.lattice_build", "tiling.lattice_solve"} <= set(spans)
+            "tiling.lattice_build", "tiling.lattice_solve",
+            "hexgrid.boundary", "words.eval", "tiling.sequence"} <= set(spans)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hexsbs import cli
+from hexsbs import cli, hexgrid
 from hexsbs.cli import run
 from hexsbs.tiling import SignedTiling, signed_tiling_verify
 from hexsbs.hexgrid import region_validate
@@ -35,6 +35,27 @@ def test_check_region_hex7(capsys):
                           str(FIXTURES / "hex7.json"))
     assert code == 0
     assert json.loads(out)["class"] == "PlusIdentity"
+
+
+def test_check_region_walks_the_boundary_once(capsys, monkeypatch):
+    # validation keeps its walk for the boundary word, and the flood that
+    # names a fault runs only on a rejected region
+    walks = []
+    walk_from = hexgrid._walk_from
+
+    def counted(cells, cell, k):
+        walks.append((cell, k))
+        return walk_from(cells, cell, k)
+
+    def flood(cells):
+        raise AssertionError("flood on a valid region")
+
+    monkeypatch.setattr(hexgrid, "_walk_from", counted)
+    monkeypatch.setattr(hexgrid, "is_edge_connected", flood)
+    code, out, _ = invoke(capsys, "check-region", "--in",
+                          str(FIXTURES / "hex7.json"))
+    assert (code, json.loads(out)["class"]) == (0, "PlusIdentity")
+    assert len(walks) == 1
 
 
 def test_check_region_single_cell(capsys):
@@ -276,6 +297,9 @@ def test_check_sequence_rejects_malformed_steps(capsys, tmp_path, data,
     ({"anchor": [0, 0.0]}, "entry 1"),
     ({"anchor": [False, 0]}, "entry 1"),
     (None, "list"),
+    ({"coeff": 0}, "entry 1: coeff 0 is not 1 or -1"),
+    ({"coeff": 5}, "entry 1: coeff 5 is not 1 or -1"),
+    ({"coeff": -1}, "does not tile the region at cell [-1, 2]"),
 ])
 def test_render_tiling_rejects_malformed_entries(capsys, tmp_path, edit,
                                                  where):

@@ -4,14 +4,15 @@ import pytest
 
 from hexsbs.fixtures import (BARBELL_CELLS, BARBELL_WORD, HEX7_CELLS,
                              HEX7_WORD, RING6_CELLS, TILE_WORDS)
-from hexsbs.hexgrid import (RegionError, cell_center_plane,
+from hexsbs.hexgrid import (STEP_DISPLACEMENTS, STEP_EDGE_DELTAS, Region,
+                            RegionError, cell_center_plane,
                             grow_random_region, is_closed, is_edge_connected,
-                            is_simply_connected, lattice_to_plane, neighbors,
-                            path_endpoint, plane_to_lattice,
-                            region_boundary_word, region_from_ascii,
-                            region_from_json, region_validate, winding_cells)
-from hexsbs.words import (WordError, closure, eval_word, invert_word,
-                          step_to_edge, step_word)
+                            lattice_to_plane, neighbors, path_endpoint,
+                            plane_to_lattice, region_boundary_word,
+                            region_from_ascii, region_from_json,
+                            region_validate, winding_cells)
+from hexsbs.words import (STEP_TO_EDGES, WordError, closure, eval_word,
+                          invert_word, step_to_edge, step_word)
 
 from oracles import flood_is_simply_connected
 
@@ -93,32 +94,55 @@ def test_region_validate_rejects_malformed_cells(cells, message):
         region_validate(cells)
 
 
-def test_hole_test_matches_flood_oracle():
-    # connected blobs grown at random, some with cells cut back out
-    rng = random.Random(31)
-    seen = {True: 0, False: 0}
-    for _ in range(600):
-        cells = {(0, 0)}
-        for _ in range(rng.randrange(40)):
-            frontier = sorted({n for c in cells for n in neighbors(c)}
-                              - cells)
-            cells.add(rng.choice(frontier))
-        cut = min(rng.randrange(4), len(cells) - 1)
+def _cell_sets(rng, count):
+    """One or two random blobs, some with cells cut back out."""
+    for _ in range(count):
+        cells = set()
+        for _ in range(rng.randrange(1, 3)):
+            piece = {(rng.randrange(-6, 7), rng.randrange(-6, 7))}
+            for _ in range(rng.randrange(30)):
+                frontier = sorted({n for c in piece for n in neighbors(c)}
+                                  - piece)
+                piece.add(rng.choice(frontier))
+            cells |= piece
+        cut = min(rng.randrange(5), len(cells) - 1)
         cells -= set(rng.sample(sorted(cells), cut))
-        if not is_edge_connected(cells):
+        yield cells
+
+
+def test_hole_test_matches_flood_oracle():
+    # the one boundary walk accepts exactly the connected sets without a
+    # hole, and names the first of the two faults it finds
+    seen = {}
+    for cells in _cell_sets(random.Random(31), 800):
+        connected = is_edge_connected(cells)
+        holed = not flood_is_simply_connected(cells)
+        seen[connected, holed] = seen.get((connected, holed), 0) + 1
+        if connected and not holed:
+            region = region_validate(sorted(cells))
+            assert region.cells == cells
             continue
-        want = flood_is_simply_connected(cells)
-        assert is_simply_connected(cells) is want, sorted(cells)
-        seen[want] += 1
-    assert min(seen.values()) >= 50, seen
+        message = ("not edge-connected" if not connected
+                   else r"not simply connected \(hole detected\)")
+        with pytest.raises(RegionError, match=message):
+            region_validate(sorted(cells))
+        with pytest.raises(RegionError, match=message):
+            region_boundary_word(Region(frozenset(cells)))
+    assert len(seen) == 4 and min(seen.values()) >= 50, seen
 
 
 def test_hole_test_on_rings_and_paths():
-    assert not is_simply_connected(RING6_CELLS)
-    assert is_simply_connected([])
+    with pytest.raises(RegionError, match="simply connected"):
+        region_validate(RING6_CELLS)
+    ring_and_cell = list(RING6_CELLS) + [(9, 9)]
+    with pytest.raises(RegionError, match="edge-connected"):
+        region_validate(ring_and_cell)
     staircase = [(q, -(q // 2)) for q in range(300)]
     assert is_edge_connected(staircase)
-    assert is_simply_connected(staircase)
+    region = region_validate(staircase)
+    bw = region_boundary_word(region)
+    assert bw == region_boundary_word(Region(region.cells))
+    assert len(bw.word) == (6 * 300 - 2 * 299) // 2
 
 
 def test_boundary_word_hex7():
@@ -151,6 +175,8 @@ def test_boundary_word_start_choice():
     assert other.word.letters in doubled  # cyclic permutation
     with pytest.raises(RegionError):
         region_boundary_word(region, start_choice=((-1, 0), 0))  # interior
+    with pytest.raises(RegionError):
+        region_boundary_word(region, start_choice=((5, 5), 0))  # outside
 
 
 def test_closure_members_of_closed_word_are_closed():
@@ -174,6 +200,22 @@ def test_boundary_edge_step_consistency():
         region = grow_random_region(rng, rng.randrange(1, 11))
         bw = region_boundary_word(region)
         assert eval_word(step_to_edge(bw.word)) == eval_word(bw.word)
+
+
+def test_step_tables_follow_from_edge_pairs():
+    # each step walks its written edge pair backwards, from a shaded
+    # vertex to the next one
+    letter_of = {"A": (1, 1), "B": (-1, 1), "G": (-2, 0),
+                 "a": (-1, -1), "b": (1, -1), "g": (2, 0)}
+    for step, pair in STEP_TO_EDGES.items():
+        first, second = (letter_of[e] for e in reversed(pair))
+        assert STEP_EDGE_DELTAS[step] == (first, second)
+        x, y = lattice_to_plane((0, 0))
+        assert (x + first[0]) % 3 == 2  # the midpoint is unshaded
+        end = (x + first[0] + second[0], y + first[1] + second[1])
+        assert plane_to_lattice(end) == STEP_DISPLACEMENTS[step]
+    assert STEP_DISPLACEMENTS == {"X": (0, 1), "Y": (-1, 0), "Z": (1, -1),
+                                  "x": (0, -1), "y": (1, 0), "z": (-1, 1)}
 
 
 def test_plane_round_trip():

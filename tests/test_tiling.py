@@ -14,14 +14,15 @@ from hexsbs.cli import load_region
 from hexsbs.cyclo import PMClass
 from hexsbs.fixtures import (CRESCENT_CELLS, CRESCENT_CERTIFICATE,
                              CRESCENT_SEQUENCE, BARBELL_CELLS, HEX7_CELLS,
-                             SEQUENCE_2X2X2_LEFT, SEQUENCE_2X2X2_LEFT_TARGET,
+                             RING6_CELLS, SEQUENCE_2X2X2_LEFT,
+                             SEQUENCE_2X2X2_LEFT_TARGET,
                              SEQUENCE_2X2X2_MIDDLE,
                              SEQUENCE_2X2X2_MIDDLE_TARGET, TILE_WORDS)
-from hexsbs.hexgrid import (grow_random_region, is_simply_connected,
+from hexsbs.hexgrid import (Region, RegionError, grow_random_region,
                             neighbors, region_boundary_word, region_validate,
                             winding_cells)
 from hexsbs.tiling import (KINDS, ConstructionStep, IntegerLattice, Placement,
-                           SignedTiling, _exact_covers,
+                           SignedTiling, StoneProbe, _exact_covers,
                            boundary_obstruction_check,
                            constructible_sequence_check, enumerate_placements,
                            min_stone_probe, pad_window, signed_tiling_solve,
@@ -30,8 +31,8 @@ from hexsbs.tiling import (KINDS, ConstructionStep, IntegerLattice, Placement,
 from hexsbs.words import closure, step_word
 
 from oracles import (DenseIntegerLattice, anchor_scan_placements,
-                     brute_force_tiling_count, recursive_exact_cover,
-                     rescan_exact_covers)
+                     brute_force_tiling_count, flood_is_simply_connected,
+                     recursive_exact_cover, rescan_exact_covers)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # every region fixture but ring6.json, whose hole makes it invalid input
@@ -406,7 +407,7 @@ def tile_built_region(rng, tiles):
                                  - cells))
         oq, orr = rng.choice(sorted(shape.cells))
         new = Placement(shape, (q - oq, r - orr)).cells()
-        if not new & cells and is_simply_connected(cells | new):
+        if not new & cells and flood_is_simply_connected(cells | new):
             cells |= new
             placed += 1
     return region_validate(cells)
@@ -519,6 +520,17 @@ def test_boundary_obstruction():
         region_validate([(0, 0)])) is PMClass.OTHER
 
 
+@pytest.mark.parametrize("cells, message", [
+    (RING6_CELLS, "simply connected"),
+    (((0, 0), (0, 2)), "edge-connected"),
+])
+def test_boundary_obstruction_rejects_unvalidated_non_region(cells, message):
+    # a Region built directly is checked by the boundary walk itself, not
+    # read as the class of whichever boundary cycle the walk met
+    with pytest.raises(RegionError, match=message):
+        boundary_obstruction_check(Region(frozenset(cells)))
+
+
 def test_sequence_left_2x2x2():
     report = constructible_sequence_check(steps(SEQUENCE_2X2X2_LEFT))
     assert report.valid
@@ -586,16 +598,15 @@ def test_sequence_detached_add():
 
 
 def test_sequence_puncture():
-    # wrap a ring of bones around a missing center
+    # two snakes whose union encloses the cell (-1, -1)
     report = constructible_sequence_check(steps([
-        ("add", "bone", "vertical", (1, 0)),
-        ("add", "bone", "left", (1, 2)),
-        ("add", "bone", "vertical", (-2, 1)),
-        ("add", "bone", "right", (-1, -1)),
+        ("add", "snake", "flat_left", (0, -3)),
+        ("add", "snake", "flat_right", (0, -1)),
     ]))
     assert not report.valid
-    assert report.violation_reason in ("puncture", "disconnected",
-                                       "coverage conflict")
+    assert (report.violation_index, report.violation_reason) == \
+        (1, "puncture")
+    assert len(report.records) == 1
 
 
 def test_min_stone_probe_hex7():
@@ -621,6 +632,23 @@ def test_min_stone_probe_crescent():
     assert probe.stones == 0
     assert probe.boundary_class is PMClass.MINUS_IDENTITY
     assert probe.parity_consistent is False
+
+
+def test_min_stone_probe_stops_at_other():
+    # a boundary class of Other rules out a signed tiling with stones or
+    # without, so the lattice the probe skips would find none either
+    regions = [load_region(str(FIXTURES / name)) for name in REGION_FIXTURES]
+    rng = random.Random(94)
+    regions += [grow_random_region(rng, rng.randrange(1, 16))
+                for _ in range(40)]
+    others = [r for r in regions
+              if boundary_obstruction_check(r) is PMClass.OTHER]
+    assert len(others) >= 20
+    for region in others:
+        for padding in (0, 1, 2):
+            assert min_stone_probe(region, padding) == \
+                StoneProbe(None, PMClass.OTHER, None)
+            assert signed_tiling_solve(region, padding=padding) is None
 
 
 def test_solver_window_completeness_random():
