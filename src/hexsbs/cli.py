@@ -218,13 +218,13 @@ def cmd_render(args) -> int:
             raise InputError(f"{args.infile}: {e}") from e
         region = None
         entries = data
-        if isinstance(data, dict):
-            entries = data.get("certificate")
-            if "region" in data:
-                region = region_from_json(json.dumps(data["region"]))
         try:
+            if isinstance(data, dict):
+                entries = data.get("certificate")
+                if "region" in data:
+                    region = region_from_json(json.dumps(data["region"]))
             tiling = SignedTiling.from_json(entries)
-        except ValueError as e:
+        except ValueError as e:  # RegionError is one
             raise InputError(f"{args.infile}: {e}") from e
         bad = None if region is None else signed_tiling_verify(region, tiling)
         if bad is not None:

@@ -1,10 +1,13 @@
 """Computer search for identity relations among the step generators.
 
-The enumeration domain is the set of cyclically reduced step words ending
-in the letter X.  Every closure class of cyclically reduced words has such
-a member (rotate or invert until an uppercase X exists, then shift it to
-the end), so appending X loses nothing while cutting the space sixfold;
-this is checked against a naive oracle in the tests.
+The enumeration visits each closure class of cyclically reduced step words
+once, at its least member.  That member starts with X, the least letter,
+since every class has a member that does (rotate or invert until an
+uppercase X exists, then shift it to the front).  So the search grows the
+words "X" + w a letter at a time, only along the prefixes a least member
+can have, and records a word that evaluates to +-I when no member of its
+class sorts before it.  No closure set is built; the tests check the
+output against the former closure-set enumeration and a naive oracle.
 
 Words are evaluated on the table of the group the step matrices generate,
 words.STEP_GROUP (SL(2,3), order 24, built once at import): the search
@@ -23,14 +26,17 @@ from dataclasses import dataclass
 from .cyclo import IDENTITY, PMClass
 from .hexgrid import STEP_DISPLACEMENTS, is_closed
 from .words import (STEP_GROUP, STEP_INVERT, STEP_LETTERS,
-                    canonical_representative, closure_members, eval_letters,
-                    step_word)
+                    canonical_representative, closure_variants, eval_letters,
+                    is_least_member, step_word)
+
+# canonical_representative is not called here; it stays importable from
+# this module, where the benchmark's tracer wraps it by name
 
 # letters that may stand next to each letter in a freely reduced word
 _FOLLOWERS = {last: tuple(ch for ch in STEP_LETTERS
                           if ch != last.translate(STEP_INVERT))
               for last in STEP_LETTERS}
-# cyclically reduced words ending in X cannot also start with x
+# the letters that may follow, or cyclically precede, a leading X
 START_LETTERS = "XYZyz"
 
 
@@ -61,35 +67,44 @@ class SearchConfig:
             raise ValueError("partitions must be >= 1")
 
 
-def _enumerate_partition(args) -> dict:
+def _enumerate_partition(args) -> list:
     first_letters, max_word_length = args
     step, pm = STEP_GROUP.step, STEP_GROUP.pm
-    to_x = step["X"]
-    found = {}
+    # closers[state]: the letters ch, not x, with state * ch * X = +-I,
+    # and that value, which "X" + w + ch shares with its shift w + ch + "X"
+    closers = [tuple((ch, k) for ch in START_LETTERS
+                     for k in (pm[step["X"][step[ch][state]]],)
+                     if k is not PMClass.OTHER)
+               for state in range(len(pm))]
+    found = []
 
-    def visit(word: list, state: int):
-        if word[-1] != "x":
-            k = pm[to_x[state]]
-            if k is not PMClass.OTHER:
-                rep = canonical_representative("".join(word) + "X")
-                if rep not in found:
-                    found[rep] = (k, len(word) + 1)
-        if len(word) < max_word_length - 1:
-            for ch in _FOLLOWERS[word[-1]]:
-                word.append(ch)
-                visit(word, step[ch][state])
-                word.pop()
+    def visit(u: str, state: int, letters, period: int):
+        # u = "X" + w, state is the value of w and period the length of the
+        # longest Lyndon prefix of u.  The least member of a class is a
+        # necklace, so only prenecklaces are grown, and u + ch is one iff
+        # ch >= floor (Ruskey-Savage-Wang).  The children that close are
+        # kept, and only those with children of their own are grown: the
+        # last level makes no call.
+        floor = u[len(u) - period]
+        for ch, k in closers[state]:
+            if ch in letters and ch >= floor and is_least_member(u + ch):
+                found.append((u + ch, k))
+        if len(u) + 2 <= max_word_length:
+            for ch in letters:
+                if ch >= floor:
+                    visit(u + ch, step[ch][state], _FOLLOWERS[ch],
+                          period if ch == floor else len(u) + 1)
 
-    for ch in first_letters:
-        visit([ch], step[ch][0])
+    visit("X", 0, first_letters, 1)
     return found
 
 
 def enumerate_identity_words(cfg: SearchConfig = SearchConfig()) -> list:
-    """Closure classes of cyclically reduced words w+X with value +-I and
-    total length <= cfg.max_word_length, sorted by (length, representative).
-    Partitioned runs split the space by first letter and merge to the same
-    output as a single-threaded run.
+    """Closure classes of cyclically reduced words with value +-I and
+    length <= cfg.max_word_length, each once as its least member "X" + w,
+    sorted by (length, representative).  Partitioned runs split the space
+    by the first letter of w and merge to the same output as a
+    single-threaded run.
     """
     groups = [START_LETTERS[i::cfg.partitions]
               for i in range(min(cfg.partitions, len(START_LETTERS)))]
@@ -100,11 +115,8 @@ def enumerate_identity_words(cfg: SearchConfig = SearchConfig()) -> list:
             results = list(pool.map(
                 _enumerate_partition,
                 [(g, cfg.max_word_length) for g in groups]))
-    merged = {}
-    for part in results:
-        merged.update(part)
-    records = [RelationRecord(rep, value, length, is_closed(step_word(rep)))
-               for rep, (value, length) in merged.items()]
+    records = [RelationRecord(rep, value, len(rep), is_closed(step_word(rep)))
+               for part in results for rep, value in part]
     records.sort(key=lambda r: (r.length, r.representative))
     return records
 
@@ -125,41 +137,52 @@ class Reduction:
         }
 
 
+def _windows(letters: str, h: int) -> set:
+    """The cyclic windows of length h of the word itself."""
+    doubled = letters + letters
+    return {doubled[i:i + h] for i in range(len(letters))}
+
+
 def reduce_relation_list(records) -> Reduction:
     """Accept a record only if no member of its closure contains a factor
     longer than half the length of a previously accepted relation; records
     must be sorted shortest-first.  Each casualty reports the factor and
-    the accepted relation that produced it."""
+    the accepted relation that produced it: the earliest such relation, and
+    the least factor shared with it.
+
+    That factor has h = length // 2 + 1 letters, for the length of the
+    relation.  A longer shared factor starts with a shared one of length h,
+    which sorts first; and had an earlier relation shared that window, it
+    would have been the earliest.  So each accepted relation keeps one set,
+    its cyclic windows of length h under the six rotations and inversions.
+    The set is closed under those, so a record tests only its own windows,
+    built once for each distinct h, and the factor is the least variant of
+    a shared one."""
     records = list(records)
     if records != sorted(records, key=lambda r: (r.length, r.representative)):
         raise ValueError("records must be sorted shortest-first")
-    factors = {}  # substring -> (accept_index, source_representative)
-    max_factor_len = 0
+    accepted = []  # of (h, windows of length h, representative)
     survivors = []
     casualties = []
     for record in records:
-        members = closure_members(record.representative)
-        hits = []
-        for member in members:
-            top = min(len(member), max_factor_len)
-            for flen in range(2, top + 1):
-                for i in range(len(member) - flen + 1):
-                    hit = factors.get(member[i:i + flen])
-                    if hit is not None:
-                        hits.append((hit[0], member[i:i + flen], hit[1]))
-        if hits:
-            _, factor, src = min(hits)
-            casualties.append((record, factor, src))
-            continue
-        survivors.append(record)
-        accept_index = len(survivors) - 1
-        half = record.length // 2 + 1
-        for member in members:
-            for flen in range(half, len(member) + 1):
-                for i in range(len(member) - flen + 1):
-                    factors.setdefault(member[i:i + flen],
-                                       (accept_index, record.representative))
-        max_factor_len = max(max_factor_len, record.length)
+        w = record.representative
+        own = {}  # h -> the record's windows of length h
+        for h, windows, source in accepted:
+            if h not in own:
+                own[h] = _windows(w, h)
+            shared = own[h] & windows
+            if shared:
+                factor = min(var for window in shared
+                             for var in closure_variants(window))
+                casualties.append((record, factor, source))
+                break
+        else:
+            survivors.append(record)
+            if len(w) > 1:  # factors have at least two letters
+                h = len(w) // 2 + 1
+                accepted.append((h, {var for window in _windows(w, h)
+                                     for var in closure_variants(window)},
+                                 w))
     return Reduction(tuple(survivors), tuple(casualties))
 
 

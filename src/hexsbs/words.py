@@ -127,18 +127,24 @@ class ClosureClass:
                 "members": sorted(self.members)}
 
 
+def closure_variants(letters: str):
+    """The six words whose cyclic shifts make up the closure class: the
+    word and its two 120-degree rotations, each followed by its inverse."""
+    base = letters
+    for _ in range(3):
+        yield base
+        yield base[::-1].translate(STEP_INVERT)
+        base = base.translate(_STEP_ROTATE)
+
+
+def _shifts(letters: str):
+    # every member of the closure class, some more than once
+    return (var[i:] + var[:i] for var in closure_variants(letters)
+            for i in range(len(var) or 1))
+
+
 def closure_members(letters: str) -> frozenset:
-    rot1 = letters.translate(_STEP_ROTATE)
-    rot2 = rot1.translate(_STEP_ROTATE)
-    out = set()
-    for base in (letters, rot1, rot2):
-        for var in (base, base[::-1].translate(STEP_INVERT)):
-            if not var:
-                out.add(var)
-                continue
-            for i in range(len(var)):
-                out.add(var[i:] + var[:i])
-    return frozenset(out)
+    return frozenset(_shifts(letters))
 
 
 def closure(w: Word) -> ClosureClass:
@@ -149,7 +155,25 @@ def closure(w: Word) -> ClosureClass:
 
 
 def canonical_representative(letters: str) -> str:
-    return min(closure_members(letters))
+    return min(_shifts(letters))
+
+
+def is_least_member(letters: str) -> bool:
+    """Whether letters is the least member of its closure class.
+
+    A member starts at some position of one of the six variants, and only
+    the members that start with X can be less than a word that does; a
+    word that does not start with X is beaten by any that does.  The
+    comparisons stop at the first smaller member."""
+    n = len(letters)
+    for var in closure_variants(letters):
+        doubled = var + var
+        i = var.find("X")
+        while i >= 0:
+            if doubled[i:i + n] < letters:
+                return False
+            i = var.find("X", i + 1)
+    return True
 
 
 # letter -> matrix, words multiply left-to-right

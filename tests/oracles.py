@@ -4,7 +4,8 @@ Everything here recomputes results along a different route than the
 package: numeric evaluation through a complex embedding of the ring,
 word evaluation and word scans by plain Mat2 products (no group table),
 the census's former per-length count over lazily interned matrices, the
-former bounding-box flood for holes, tiling counts by raw subset search,
+former closure-set enumeration and dict-of-substrings relation reducer,
+the former bounding-box flood for holes, tiling counts by raw subset search,
 the former anchor-scan placement enumeration, the former recursive and
 rescanning exact covers, dense-transform lattice and word-by-word
 endpoint walk, and group orders from a presentation alone by coset
@@ -18,15 +19,17 @@ import itertools
 
 from hexsbs.cyclo import (IDENTITY, MINUS_IDENTITY, CycInt, Mat2, PMClass,
                           classify_pm)
-from hexsbs.hexgrid import STEP_DISPLACEMENTS, neighbors
+from hexsbs.hexgrid import STEP_DISPLACEMENTS, is_closed, neighbors
+from hexsbs.search import RelationRecord, Reduction
 from hexsbs.tiling import (KINDS, Placement, TilingCount, enumerate_placements,
                            tile_catalog)
-from hexsbs.words import (STEP_GROUP, STEP_MATRICES, Word, closure_members,
-                          eval_word)
+from hexsbs.words import (STEP_GROUP, STEP_MATRICES, Word, eval_word,
+                          step_word)
 
 OMEGA_C = cmath.exp(1j * cmath.pi / 6)  # primitive 12th root of unity
 
 INVERSE = dict(zip("XYZxyz", "xyzXYZ"))
+ROTATE = str.maketrans("XYZxyz", "YZXyzx")
 
 
 def cyc_to_complex(x: CycInt) -> complex:
@@ -73,6 +76,81 @@ def exact_matches_complex(word: Word, tol=1e-7) -> bool:
                       tol)
 
 
+def closure_set(letters: str) -> frozenset:
+    """Every cyclic shift of the word, of its 120-degree rotations and of
+    their inverses, as one set."""
+    rot1 = letters.translate(ROTATE)
+    rot2 = rot1.translate(ROTATE)
+    out = set()
+    for base in (letters, rot1, rot2):
+        for var in (base, "".join(INVERSE[ch] for ch in reversed(base))):
+            if not var:
+                out.add(var)
+                continue
+            for i in range(len(var)):
+                out.add(var[i:] + var[:i])
+    return frozenset(out)
+
+
+def closure_set_identity_words(max_word_length: int) -> list:
+    """The former enumeration: a depth-first walk over the reduced words w
+    not starting or ending in x, stepping STEP_GROUP, that dedupes the hits
+    w+X by the least member of their closure set."""
+    step, pm = STEP_GROUP.step, STEP_GROUP.pm
+    found = {}
+
+    def visit(word: str, state: int):
+        if word[-1] != "x":
+            k = pm[step["X"][state]]
+            if k is not PMClass.OTHER:
+                found.setdefault(min(closure_set(word + "X")), k)
+        if len(word) < max_word_length - 1:
+            for ch in "XYZxyz":
+                if ch != INVERSE[word[-1]]:
+                    visit(word + ch, step[ch][state])
+
+    for ch in "XYZyz":
+        visit(ch, step[ch][0])
+    records = [RelationRecord(rep, k, len(rep), is_closed(step_word(rep)))
+               for rep, k in found.items()]
+    return sorted(records, key=lambda r: (r.length, r.representative))
+
+
+def substring_dict_reduce(records) -> Reduction:
+    """The former reducer: every substring of length at least half plus
+    one of every member of each accepted class goes into one dict, keyed
+    to the earliest acceptance; a record falls to the least (acceptance,
+    substring) hit among all substrings of all its members."""
+    factors = {}  # substring -> (accept_index, source_representative)
+    max_factor_len = 0
+    survivors = []
+    casualties = []
+    for record in records:
+        members = closure_set(record.representative)
+        hits = []
+        for member in members:
+            top = min(len(member), max_factor_len)
+            for flen in range(2, top + 1):
+                for i in range(len(member) - flen + 1):
+                    hit = factors.get(member[i:i + flen])
+                    if hit is not None:
+                        hits.append((hit[0], member[i:i + flen], hit[1]))
+        if hits:
+            _, factor, src = min(hits)
+            casualties.append((record, factor, src))
+            continue
+        survivors.append(record)
+        half = record.length // 2 + 1
+        for member in members:
+            for flen in range(half, len(member) + 1):
+                for i in range(len(member) - flen + 1):
+                    factors.setdefault(member[i:i + flen],
+                                       (len(survivors) - 1,
+                                        record.representative))
+        max_factor_len = max(max_factor_len, record.length)
+    return Reduction(tuple(survivors), tuple(casualties))
+
+
 def naive_identity_classes(max_length: int, require_final_x: bool = True):
     """Closure classes of cyclically reduced step words with value +-I,
     found by evaluating every word with direct matrix products (no state
@@ -80,7 +158,7 @@ def naive_identity_classes(max_length: int, require_final_x: bool = True):
     found = {}
 
     def record(word: str, value: PMClass):
-        rep = min(closure_members(word))
+        rep = min(closure_set(word))
         found.setdefault(rep, (value, len(word)))
 
     def rec(word: str, m: Mat2):

@@ -20,7 +20,11 @@ tracer.op = 0
 codes = [worker.call(cli, argv.split())[0] for argv in (
     "solve-signed --in fixtures/hex7.json",
     "check-region --in fixtures/hex7.json",
-    "check-sequence --in fixtures/seq_2x2x2_left.json")]
+    "check-sequence --in fixtures/seq_2x2x2_left.json",
+    "enumerate --max-length 5",
+    "reduce --max-length 5",
+    "enumerate --census --max-length 6",
+    "endpoints --max-length 3")]
 print(json.dumps([codes, sorted({s[3] for s in tracer.spans})]))
 """
 
@@ -32,7 +36,9 @@ def test_instrument_wraps_every_traced_layer():
         cwd=str(ROOT), env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     codes, spans = json.loads(proc.stdout)
-    assert codes == [0, 0, 0]
+    assert codes == [0] * 7
     assert {"cli", "hexgrid.load", "tiling.signed", "tiling.placements",
             "tiling.lattice_build", "tiling.lattice_solve",
-            "hexgrid.boundary", "words.eval", "tiling.sequence"} <= set(spans)
+            "hexgrid.boundary", "words.eval", "tiling.sequence",
+            "search.enumerate", "search.reduce", "search.census",
+            "search.endpoints"} <= set(spans)

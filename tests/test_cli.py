@@ -317,6 +317,24 @@ def test_render_tiling_rejects_malformed_entries(capsys, tmp_path, edit,
     assert where in err and not out_file.exists()
 
 
+@pytest.mark.parametrize("region, where", [
+    (5, "region JSON must be"),
+    ({"cells": [[0, 0], [0, 0]]}, "duplicate"),
+    ({"cells": [[0, 0], [5, 5]]}, "not edge-connected"),
+])
+def test_render_tiling_rejects_malformed_region(capsys, tmp_path, region,
+                                                where):
+    data = json.loads((FIXTURES / "crescent_tiling.json").read_text())
+    data["region"] = region
+    path, out_file = tmp_path / "bad.json", tmp_path / "bad.svg"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "render", "--subject", "tiling", "--in",
+                            str(path), "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert where in err and not out_file.exists()
+
+
 def test_render_region(capsys, tmp_path):
     out_file = tmp_path / "hex7.svg"
     code, _, _ = invoke(capsys, "render", "--subject", "region", "--in",

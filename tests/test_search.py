@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexsbs.cyclo import IDENTITY, PMClass
 from hexsbs.fixtures import CONJECTURE_MINUS, CONJECTURE_PLUS, TABLE_WORDS
@@ -12,9 +14,10 @@ from hexsbs.search import (CensusReport, GroupProbeResult, RelationRecord,
 from hexsbs.words import (STEP_GROUP, STEP_MATRICES, canonical_representative,
                           eval_letters)
 
-from oracles import (census_counts_by_length, coset_trace,
-                     count_identity_words, endpoints_by_length,
-                     naive_identity_classes, sign_presentation, todd_coxeter)
+from oracles import (census_counts_by_length, closure_set_identity_words,
+                     coset_trace, count_identity_words, endpoints_by_length,
+                     naive_identity_classes, sign_presentation,
+                     substring_dict_reduce, todd_coxeter)
 
 
 def reps(records):
@@ -83,6 +86,39 @@ def test_partitioned_runs_merge_identically():
         assert [r.jsonl() for r in multi] == [r.jsonl() for r in single]
 
 
+@pytest.fixture(scope="module")
+def oracle_records():
+    """The former closure-set enumeration at length 9."""
+    return closure_set_identity_words(9)
+
+
+@pytest.mark.parametrize("max_len", range(2, 10))
+def test_enumeration_matches_closure_set_oracle(oracle_records, max_len):
+    want = [r for r in oracle_records if r.length <= max_len]
+    for parts in (1, 2):
+        assert enumerate_identity_words(SearchConfig(max_len, parts)) == \
+            want, parts
+
+
+@pytest.mark.parametrize("max_len", range(2, 10))
+def test_reduction_matches_substring_dict_oracle(oracle_records, max_len):
+    records = [r for r in oracle_records if r.length <= max_len]
+    want = substring_dict_reduce(records)
+    got = reduce_relation_list(enumerate_identity_words(SearchConfig(max_len)))
+    assert got.survivors == want.survivors
+    assert got.casualties == want.casualties
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_reduction_of_record_subsets_matches_oracle(oracle_records, data):
+    records = [r for r in oracle_records if r.length <= 8]
+    picks = data.draw(st.sets(st.integers(0, len(records) - 1),
+                              max_size=60))
+    subset = [records[i] for i in sorted(picks)]
+    assert reduce_relation_list(subset) == substring_dict_reduce(subset)
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(1)
@@ -109,6 +145,14 @@ def test_reduce_kills_factor_containing_class():
 def test_reduce_single_record_survives():
     only = rec("XYZ")
     assert reduce_relation_list([only]).survivors == (only,)
+
+
+def test_reduce_single_letters_kill_nothing():
+    # factors have two letters or more, as in the former reducer
+    records = [rec("X"), rec("XYZ"), rec("XXYZ")]
+    result = reduce_relation_list(records)
+    assert result == substring_dict_reduce(records)
+    assert result.survivors == tuple(records[:2])
 
 
 def test_reduce_requires_sorted_input():

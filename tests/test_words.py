@@ -9,12 +9,14 @@ from hexsbs.cyclo import IDENTITY, MINUS_IDENTITY, PMClass
 from hexsbs.fixtures import (CONJECTURE_MINUS, CONJECTURE_PLUS,
                              TABLE_WORDS, TILE_EDGE_WORDS, TILE_WORDS)
 from hexsbs.words import (STEP_GROUP, STEP_MATRICES, ClosureClass, Word,
-                          WordError, classify_pm, closure, edge_to_step,
+                          WordError, canonical_representative, classify_pm,
+                          closure, closure_members, edge_to_step,
                           eval_letters, eval_word, free_reduce, invert_word,
-                          is_cyclically_reduced, parse_word, rotate120,
-                          step_to_edge, step_word)
+                          is_cyclically_reduced, is_least_member, parse_word,
+                          rotate120, step_to_edge, step_word)
 
-from oracles import eval_by_products, exact_matches_complex
+from oracles import INVERSE, closure_set, eval_by_products, \
+    exact_matches_complex
 
 
 def rand_step_word(rng, max_len, reduced=False):
@@ -102,6 +104,38 @@ def test_closure_size_bound():
     for _ in range(50):
         w = rand_step_word(rng, 10)
         assert len(closure(w).members) <= max(6 * len(w), 1)
+
+
+@st.composite
+def x_words(draw):
+    """Cyclically reduced step words of length 1-16 that start with X."""
+    letters = ["X"]
+    for i in draw(st.lists(st.integers(0, 4), max_size=15)):
+        letters.append([ch for ch in "XYZxyz"
+                        if ch != INVERSE[letters[-1]]][i])
+    while letters[-1] == "x":
+        letters.pop()
+    return "".join(letters)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x_words())
+def test_least_member_test_matches_closure_min(letters):
+    assert is_cyclically_reduced(step_word(letters))
+    members = closure_set(letters)
+    least = min(members)
+    assert is_least_member(letters) == (letters == least)
+    # and on every member, the least one included
+    for member in members:
+        assert is_least_member(member) == (member == least), member
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="XYZxyz", max_size=16))
+def test_canonical_representative_is_closure_min(letters):
+    assert closure_members(letters) == closure_set(letters)
+    assert canonical_representative(letters) == \
+        min(closure_members(letters)) == min(closure_set(letters))
 
 
 def test_eval_fixture_words():
