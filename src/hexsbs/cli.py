@@ -41,7 +41,7 @@ def load_region(path: str, allow_empty: bool = False) -> Region:
         raise InputError(f"cannot read {path}: {e}") from e
     try:
         if path.endswith((".txt", ".ascii")):
-            return region_from_ascii(text)
+            return region_from_ascii(text, allow_empty)
         return region_from_json(text, allow_empty)
     except (RegionError, json.JSONDecodeError, ValueError) as e:
         raise InputError(f"{path}: {e}") from e
@@ -50,7 +50,11 @@ def load_region(path: str, allow_empty: bool = False) -> Region:
 def load_word(path_or_literal: str, alphabet: str = "step") -> Word:
     p = Path(path_or_literal)
     text = path_or_literal
-    if p.is_file():
+    try:
+        is_file = p.is_file()
+    except OSError:  # a literal word too long to be a file name
+        is_file = False
+    if is_file:
         text = p.read_text().strip()
     try:
         return parse_word(text, alphabet)
@@ -65,6 +69,8 @@ def _emit(obj) -> None:
 
 def _kinds(arg: str):
     kinds = tuple(k.strip() for k in arg.split(",") if k.strip())
+    if not kinds:
+        raise InputError(f"--kinds names no tile kind: {arg!r}")
     for k in kinds:
         if k not in KINDS:
             raise InputError(f"unknown tile kind {k!r}")
@@ -241,6 +247,10 @@ def cmd_render(args) -> int:
     return 0
 
 
+_PARTITIONS_HELP = ("split the search by first letter into this many parts, "
+                    "run in turn; the output is identical")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hexsbs",
@@ -281,14 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="identity-word search (JSONL)")
     p.add_argument("--max-length", type=int, default=10)
-    p.add_argument("--partitions", type=int, default=1)
+    p.add_argument("--partitions", type=int, default=1, help=_PARTITIONS_HELP)
     p.add_argument("--census", action="store_true",
                    help="meet-in-the-middle word census instead of JSONL")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("reduce", help="enumerate then reduce relations")
     p.add_argument("--max-length", type=int, default=9)
-    p.add_argument("--partitions", type=int, default=1)
+    p.add_argument("--partitions", type=int, default=1, help=_PARTITIONS_HELP)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("verify-reductions",

@@ -316,7 +316,7 @@ def region_from_json(text: str, allow_empty: bool = False) -> Region:
     return region_validate(data["cells"], allow_empty)
 
 
-def region_from_ascii(text: str) -> Region:
+def region_from_ascii(text: str, allow_empty: bool = False) -> Region:
     """Rows of '#' (cell) and '.' (empty): column j, row k maps to
     q = j, r = -k - (j + (j % 2)) // 2, so odd columns sit a half-step
     lower than their even neighbors."""
@@ -328,4 +328,4 @@ def region_from_ascii(text: str) -> Region:
             elif ch not in ". \t":
                 raise RegionError(
                     f"unexpected character {ch!r} at row {k}, column {j}")
-    return region_validate(cells)
+    return region_validate(cells, allow_empty)

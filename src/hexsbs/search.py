@@ -14,13 +14,11 @@ words.STEP_GROUP (SL(2,3), order 24, built once at import): the search
 steps a word by one lookup per letter, and the census and the endpoint
 lattice grow one frontier of words per length, keyed by group element and
 last letter, rather than visiting the words one by one.
-Partitioned runs share nothing mutable.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .cyclo import IDENTITY, PMClass
@@ -67,8 +65,7 @@ class SearchConfig:
             raise ValueError("partitions must be >= 1")
 
 
-def _enumerate_partition(args) -> list:
-    first_letters, max_word_length = args
+def _enumerate_partition(first_letters: str, max_word_length: int) -> list:
     step, pm = STEP_GROUP.step, STEP_GROUP.pm
     # closers[state]: the letters ch, not x, with state * ch * X = +-I,
     # and that value, which "X" + w + ch shares with its shift w + ch + "X"
@@ -102,21 +99,16 @@ def _enumerate_partition(args) -> list:
 def enumerate_identity_words(cfg: SearchConfig = SearchConfig()) -> list:
     """Closure classes of cyclically reduced words with value +-I and
     length <= cfg.max_word_length, each once as its least member "X" + w,
-    sorted by (length, representative).  Partitioned runs split the space
-    by the first letter of w and merge to the same output as a
-    single-threaded run.
+    sorted by (length, representative).  cfg.partitions splits the search
+    by the first letter of w; the parts run in turn in this process and
+    merge to the same output as a single part.
     """
     groups = [START_LETTERS[i::cfg.partitions]
               for i in range(min(cfg.partitions, len(START_LETTERS)))]
-    if cfg.partitions == 1:
-        results = [_enumerate_partition((START_LETTERS, cfg.max_word_length))]
-    else:
-        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
-            results = list(pool.map(
-                _enumerate_partition,
-                [(g, cfg.max_word_length) for g in groups]))
     records = [RelationRecord(rep, value, len(rep), is_closed(step_word(rep)))
-               for part in results for rep, value in part]
+               for group in groups
+               for rep, value in _enumerate_partition(group,
+                                                      cfg.max_word_length)]
     records.sort(key=lambda r: (r.length, r.representative))
     return records
 

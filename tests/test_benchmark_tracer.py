@@ -21,7 +21,11 @@ codes = [worker.call(cli, argv.split())[0] for argv in (
     "solve-signed --in fixtures/hex7.json",
     "check-region --in fixtures/hex7.json",
     "check-sequence --in fixtures/seq_2x2x2_left.json",
+    "probe-stones --in fixtures/crescent.json",
+    "solve-exact --in fixtures/bone.json",
+    "solve-exact --in fixtures/bone.json --count",
     "enumerate --max-length 5",
+    "enumerate --max-length 5 --partitions 2",
     "reduce --max-length 5",
     "enumerate --census --max-length 6",
     "endpoints --max-length 3")]
@@ -36,9 +40,11 @@ def test_instrument_wraps_every_traced_layer():
         cwd=str(ROOT), env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     codes, spans = json.loads(proc.stdout)
-    assert codes == [0] * 7
+    assert codes == [0] * 11
     assert {"cli", "hexgrid.load", "tiling.signed", "tiling.placements",
             "tiling.lattice_build", "tiling.lattice_solve",
             "hexgrid.boundary", "words.eval", "tiling.sequence",
-            "search.enumerate", "search.reduce", "search.census",
+            "tiling.probe", "tiling.exact_first", "tiling.exact_count",
+            "search.enumerate", "search.enumerate_partitioned",
+            "search.reduce", "words.canonical", "search.census",
             "search.endpoints"} <= set(spans)

@@ -146,6 +146,31 @@ def test_solve_signed_unknown_kind(capsys):
     assert "brick" in err
 
 
+@pytest.mark.parametrize("command", ["solve-signed", "solve-exact"])
+@pytest.mark.parametrize("kinds", ["", ",", " , "])
+def test_empty_kinds_is_input_error(capsys, command, kinds):
+    # no kinds is a usage error, not a computed "no tiling"
+    code, out, err = invoke(capsys, command, "--in",
+                            str(FIXTURES / "hex7.json"), "--kinds", kinds)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_empty_region_same_answer_in_both_formats(capsys, tmp_path):
+    as_json, as_ascii = tmp_path / "empty.json", tmp_path / "empty.txt"
+    as_json.write_text('{"cells": []}')
+    as_ascii.write_text("...\n. .\n")
+    signed = [invoke(capsys, "solve-signed", "--in", str(path))
+              for path in (as_json, as_ascii)]
+    assert signed[0] == signed[1]
+    assert signed[0] == (0, '{"certificate": [], "result": "Solvable"}\n',
+                         "")
+    for path in (as_json, as_ascii):
+        code, out, err = invoke(capsys, "check-region", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "empty region" in err
+
+
 def test_solve_exact_bone(capsys):
     code, out, _ = invoke(capsys, "solve-exact", "--in",
                           str(FIXTURES / "bone.json"), "--count")
@@ -382,6 +407,17 @@ def test_render_path_literal_and_determinism(capsys, tmp_path):
     assert points[0] == points[-1]  # closed loop
 
 
+def test_render_path_long_literal(capsys, tmp_path):
+    # 300 letters are too long for a file name; the file probe must not
+    # turn that into an error
+    out_file = tmp_path / "long.svg"
+    code, out, err = invoke(capsys, "render", "--subject", "path", "--in",
+                            "XYZ" * 100, "--out", str(out_file))
+    assert (code, out, err) == (0, "", f"wrote {out_file}\n")
+    root = ET.fromstring(out_file.read_text())
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+
+
 def test_render_determinism_region(capsys, tmp_path):
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     for out_file in (a, b):
@@ -438,3 +474,15 @@ def test_console_script_entry_point():
         cwd=str(FIXTURES.parent), env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["all_ok"]
+
+
+def test_cli_import_loads_no_process_pool():
+    # the search runs in one process, so no command pays at start-up for
+    # importing a process pool
+    src = str(Path(cli.__file__).resolve().parents[1])
+    child = ("import sys; sys.path.insert(0, sys.argv[1]); import hexsbs.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+             "('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", child, src],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
