@@ -6,6 +6,8 @@ net coverage is 1 on the region and 0 elsewhere.  Tiles may stick out of
 the region, which makes the search space unbounded in principle; the
 solver therefore works inside the region padded by a configurable margin
 and reports failure as window-relative, never as a global impossibility.
+A region whose boundary class is Other has no signed tiling anywhere, so
+it is answered from its boundary word alone, before any placement.
 """
 
 from __future__ import annotations
@@ -94,9 +96,13 @@ def placement_from_json(obj: dict) -> Placement:
                      tuple(anchor))
 
 
-def pad_window(cells, padding: int) -> frozenset:
+def _check_padding(padding: int) -> None:
     if padding < 0:
         raise ValueError("padding must be >= 0")
+
+
+def pad_window(cells, padding: int) -> frozenset:
+    _check_padding(padding)
     window = set(cells)
     for _ in range(padding):
         window |= {n for c in window for n in neighbors(c)}
@@ -177,12 +183,14 @@ def _subtract(row: dict, q: int, base: dict) -> None:
 class IntegerLattice:
     """Row lattice of placement indicator vectors, in Hermite normal form.
 
-    Each placement i is one sparse augmented row: keys 0..m-1 are the
-    window cells in sorted order, and key m + i starts as 1, so the
-    placement keys of a reduced row record which combination of
-    placements it is.  Targets are integer vectors over the window cells;
-    membership and a particular solution come from forward substitution
-    along the HNF rows.  Exact big-integer arithmetic throughout.
+    Each placement is one sparse row over the window cells, keyed 0..m-1
+    in sorted cell order.  The rows are reduced by integer row operations
+    (subtract a multiple of one row from another, swap two rows, negate
+    a row), and each operation is appended to one flat log instead of
+    being applied to a transform.  Targets are integer vectors over the
+    window cells; membership comes from forward substitution along the
+    HNF rows, and a particular solution from replaying the log backwards
+    on the pivot coefficients.  Exact big-integer arithmetic throughout.
     """
 
     def __init__(self, placements, window):
@@ -190,8 +198,10 @@ class IntegerLattice:
         self.cells = sorted(window)
         self._cell_index = {c: i for i, c in enumerate(self.cells)}
         n, m = len(self.placements), len(self.cells)
-        rows = [{**{self._cell_index[c]: 1 for c in p.cells()}, m + i: 1}
-                for i, p in enumerate(self.placements)]
+        rows = [{self._cell_index[c]: 1 for c in p.cells()}
+                for p in self.placements]
+        # (i, q, b): row i -= q * row b; (piv, src): swap; (piv,): negate
+        log = []
         pivots = []
         piv = 0
         for col in range(m):
@@ -203,40 +213,62 @@ class IntegerLattice:
                 continue
             while len(nz) > 1:
                 nz.sort(key=lambda i: abs(rows[i][col]))
-                base = rows[nz[0]]
+                b = nz[0]
+                base = rows[b]
                 for i in nz[1:]:
                     q = rows[i][col] // base[col]
                     if q:
                         _subtract(rows[i], q, base)
+                        log.append((i, q, b))
                 nz = [i for i in nz if col in rows[i]]
             src = nz[0]
-            rows[piv], rows[src] = rows[src], rows[piv]
+            if src != piv:
+                rows[piv], rows[src] = rows[src], rows[piv]
+                log.append((piv, src))
             if rows[piv][col] < 0:
                 rows[piv] = {k: -a for k, a in rows[piv].items()}
+                log.append((piv,))
             pivots.append((piv, col))
             piv += 1
         self._rows = rows
         self._pivots = pivots
+        self._log = log
 
     def solve(self, target: dict):
         """Integer coefficients x with sum x_i * placement_i = target, or
-        None if the target is outside the lattice (window-relative).  The
-        residual is one more augmented row, so the placement keys it is
-        left with are -x."""
-        index, m = self._cell_index, len(self.cells)
+        None if the target is outside the lattice (window-relative).
+
+        Forward substitution writes the target as sum y_r * row_r over
+        the pivot rows; as row_r = sum_j T[r][j] * placement_j for the
+        logged operations' product T, x is T transposed times y, which
+        the log read backwards builds one operation at a time.
+        """
+        index = self._cell_index
         if any(v and c not in index for c, v in target.items()):
             return None
         resid = {index[c]: v for c, v in target.items() if v}
+        y = [0] * len(self.placements)
         for pr, pc in self._pivots:
             if pc not in resid:
                 continue
             row = self._rows[pr]
             if resid[pc] % row[pc]:
                 return None
-            _subtract(resid, resid[pc] // row[pc], row)
-        if any(k < m for k in resid):
+            y[pr] = t = resid[pc] // row[pc]
+            _subtract(resid, t, row)
+        if resid:
             return None
-        return [-resid.get(m + j, 0) for j in range(len(self.placements))]
+        for op in reversed(self._log):
+            if len(op) == 3:
+                i, q, b = op
+                if y[i]:
+                    y[b] -= q * y[i]
+            elif len(op) == 2:
+                piv, src = op
+                y[piv], y[src] = y[src], y[piv]
+            else:
+                y[op[0]] = -y[op[0]]
+        return y
 
 
 def solve_cell_target(target: dict, kinds=KINDS, window=None,
@@ -244,8 +276,13 @@ def solve_cell_target(target: dict, kinds=KINDS, window=None,
     """Signed tiling with the given net coverage, or None (window-relative).
 
     The low-level entry point: `target` may be any integer-valued cell map,
-    not necessarily a valid region indicator.
+    not necessarily a valid region indicator, so no boundary test is made.
+    Every value must be an int; any other, a bool or a float included,
+    raises ValueError naming its cell.
     """
+    for cell, v in target.items():
+        if type(v) is not int:
+            raise ValueError(f"cell {cell!r}: value {v!r} is not an integer")
     if window is None:
         window = pad_window([c for c, v in target.items() if v], padding)
     placements = enumerate_placements(window, kinds)
@@ -263,12 +300,17 @@ def solve_cell_target(target: dict, kinds=KINDS, window=None,
 def signed_tiling_solve(region: Region, kinds=KINDS, padding: int = 2):
     """A verified signed tiling of the region using only the given kinds,
     with placements restricted to the region padded by `padding`; None
-    means no solution exists in that window (not a global impossibility)."""
-    target = {c: 1 for c in region.cells}
-    window = pad_window(region.cells, padding)
-    if not target:
+    means no solution exists in that window (not a global impossibility).
+    A boundary class of Other rules out every signed tiling in the plane,
+    so such a region is answered None before any placement is made."""
+    _check_padding(padding)
+    if not region.cells:
         return SignedTiling(())
-    tiling = solve_cell_target(target, kinds, window)
+    if boundary_obstruction_check(region) is PMClass.OTHER:
+        return None
+    target = {c: 1 for c in region.cells}
+    tiling = solve_cell_target(target, kinds,
+                               pad_window(region.cells, padding))
     if tiling is not None:
         assert signed_tiling_verify(region, tiling) is None
     return tiling
@@ -512,10 +554,11 @@ class StoneProbe:
 
 
 def min_stone_probe(region: Region, padding: int = 2) -> StoneProbe:
+    _check_padding(padding)
     klass = boundary_obstruction_check(region)
-    window = pad_window(region.cells, padding)
     if klass is PMClass.OTHER:  # no signed tiling, with stones or without
         return StoneProbe(None, klass, None)
+    window = pad_window(region.cells, padding)
     quiet = enumerate_placements(window, ("bone", "snake"))
     lattice = IntegerLattice(quiet, window)
     target = {c: 1 for c in region.cells}

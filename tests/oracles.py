@@ -464,6 +464,24 @@ class DenseIntegerLattice:
         return x
 
 
+def transform_from_log(log, n: int) -> list:
+    """The dense n x n transform of a lattice's operation log: the logged
+    row operations replayed forward on the identity rows, as the dense
+    lattice applies them beside its cell rows."""
+    transform = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for op in log:
+        if len(op) == 3:
+            i, q, b = op
+            transform[i] = [a - q * c
+                            for a, c in zip(transform[i], transform[b])]
+        elif len(op) == 2:
+            piv, src = op
+            transform[piv], transform[src] = transform[src], transform[piv]
+        else:
+            transform[op[0]] = [-a for a in transform[op[0]]]
+    return transform
+
+
 def endpoints_by_length(max_length: int) -> dict:
     """{(length, PMClass): endpoints} over every reduced step word of each
     length up to max_length, by the endpoint lattice's former depth-first

@@ -7,7 +7,7 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hexsbs.cli import load_region
@@ -32,7 +32,8 @@ from hexsbs.words import closure, step_word
 
 from oracles import (DenseIntegerLattice, anchor_scan_placements,
                      brute_force_tiling_count, flood_is_simply_connected,
-                     recursive_exact_cover, rescan_exact_covers)
+                     recursive_exact_cover, rescan_exact_covers,
+                     transform_from_log)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # every region fixture but ring6.json, whose hole makes it invalid input
@@ -182,15 +183,16 @@ def test_integer_lattice_rejects_unreachable():
 
 
 def assert_lattice_matches_dense(placements, window, targets):
-    """The sparse lattice has the dense oracle's HNF entry for entry, and
-    returns the same coefficient list (or None) for every target."""
+    """The sparse lattice has the dense oracle's HNF entry for entry, its
+    operation log replayed on identity rows is the dense transform, and
+    it returns the same coefficient list (or None) for every target."""
     sparse = IntegerLattice(placements, window)
     dense = DenseIntegerLattice(placements, window)
     assert sparse._pivots == dense._pivots
-    for row, cell_part, transform_part in zip(sparse._rows, dense._rows,
-                                              dense._transform):
-        augmented = cell_part + transform_part
-        assert row == {k: v for k, v in enumerate(augmented) if v}
+    assert sparse._rows == [{k: v for k, v in enumerate(row) if v}
+                            for row in dense._rows]
+    assert transform_from_log(sparse._log, len(placements)) == \
+        dense._transform
     answers = [sparse.solve(t) for t in targets]
     assert answers == [dense.solve(t) for t in targets]
     return answers
@@ -508,6 +510,11 @@ def test_negative_cap_and_padding_rejected():
                             padding=-2)
     with pytest.raises(ValueError, match="padding"):
         min_stone_probe(region, padding=-2)
+    other = region_validate([(0, 0)])  # answered without a window
+    with pytest.raises(ValueError, match="padding"):
+        signed_tiling_solve(other, padding=-1)
+    with pytest.raises(ValueError, match="padding"):
+        min_stone_probe(other, padding=-1)
 
 
 def test_boundary_obstruction():
@@ -634,9 +641,22 @@ def test_min_stone_probe_crescent():
     assert probe.parity_consistent is False
 
 
+def assert_no_signed_tiling_in_windows(region):
+    """The ungated lattice, which never looks at the boundary, finds no
+    signed tiling of the region at padding 0, 1 or 2, with or without
+    stones."""
+    target = {c: 1 for c in region.cells}
+    for padding in (0, 1, 2):
+        window = pad_window(region.cells, padding)
+        for kinds in (KINDS, ("bone", "snake")):
+            assert solve_cell_target(target, kinds, window=window) is None, \
+                (sorted(region.cells), padding, kinds)
+
+
 def test_min_stone_probe_stops_at_other():
     # a boundary class of Other rules out a signed tiling with stones or
-    # without, so the lattice the probe skips would find none either
+    # without, so the lattice the probe and the solver skip would find
+    # none either
     regions = [load_region(str(FIXTURES / name)) for name in REGION_FIXTURES]
     rng = random.Random(94)
     regions += [grow_random_region(rng, rng.randrange(1, 16))
@@ -649,6 +669,39 @@ def test_min_stone_probe_stops_at_other():
             assert min_stone_probe(region, padding) == \
                 StoneProbe(None, PMClass.OTHER, None)
             assert signed_tiling_solve(region, padding=padding) is None
+        assert_no_signed_tiling_in_windows(region)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 14))
+def test_other_regions_have_no_signed_tiling_in_any_window(seed, size):
+    region = grow_random_region(random.Random(seed), size)
+    assume(boundary_obstruction_check(region) is PMClass.OTHER)
+    assert_no_signed_tiling_in_windows(region)
+
+
+def test_other_region_is_answered_before_any_placement(monkeypatch):
+    def no_placements(*args, **kwargs):
+        raise AssertionError("placements enumerated for an Other region")
+
+    monkeypatch.setattr("hexsbs.tiling.enumerate_placements", no_placements)
+    monkeypatch.setattr("hexsbs.tiling.pad_window", no_placements)
+    side6 = region_validate([(q, r) for q in range(-5, 6)
+                             for r in range(-5, 6) if abs(q + r) <= 5])
+    for region in (load_region(str(FIXTURES / "single_cell.json")), side6):
+        assert boundary_obstruction_check(region) is PMClass.OTHER
+        for padding in (0, 2):
+            assert signed_tiling_solve(region, padding=padding) is None
+            assert signed_tiling_solve(region, ("bone", "snake"),
+                                       padding) is None
+            assert min_stone_probe(region, padding) == \
+                StoneProbe(None, PMClass.OTHER, None)
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, True, False, "1", None])
+def test_solve_cell_target_rejects_non_integer_values(value):
+    with pytest.raises(ValueError, match=r"cell \(0, 1\)"):
+        solve_cell_target({(0, 0): 1, (0, 1): value})
 
 
 def test_solver_window_completeness_random():
