@@ -5,8 +5,7 @@ from .cyclo import (ALPHA, BETA, GAMMA, IDENTITY, MINUS_IDENTITY, CycInt,
                     Mat2, PMClass, classify_pm, generator_matrix, omega_power)
 from .hexgrid import (BoundaryWord, Region, RegionError, grow_random_region,
                       is_closed, path_endpoint, region_boundary_word,
-                      region_from_ascii, region_from_json, region_validate,
-                      winding_cells)
+                      region_from_ascii, region_from_json, region_validate)
 from .search import (CensusReport, GroupProbeResult, Reduction,
                      RelationRecord, SearchConfig, enumerate_identity_words,
                      group_closure_probe, identity_endpoint_lattice,

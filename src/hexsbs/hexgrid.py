@@ -1,5 +1,5 @@
-"""Hexagonal-grid geometry: cells, the shaded-vertex lattice, winding
-numbers and boundary words.
+"""Hexagonal-grid geometry: cells, the shaded-vertex lattice, boundary
+words and the ring count behind a cell set's Euler characteristic.
 
 Coordinates
 -----------
@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from random import Random
 
-from .words import STEP_TO_EDGES, Word, WordError, step_word
+from .words import STEP_TO_EDGES, Word, step_word
 
 Cell = tuple  # (q, r)
 LatticePoint = tuple  # (u, v)
@@ -78,6 +78,7 @@ STEP_DISPLACEMENTS = {  # on the lattice of shaded vertices
     for step, ds in STEP_EDGE_DELTAS.items()}
 # time-ordered edge pair (from a shaded vertex) -> step letter
 _STEP_BY_EDGE_PAIR = {pair[::-1]: step for step, pair in STEP_TO_EDGES.items()}
+_EDGE_K = {d: k for k, d in enumerate(_EDGE_DELTAS.values())}  # delta -> k
 
 
 def path_endpoint(start: LatticePoint, w: Word) -> LatticePoint:
@@ -92,47 +93,20 @@ def is_closed(w: Word) -> bool:
     return path_endpoint((0, 0), w) == (0, 0)
 
 
-def path_plane_points(w: Word, start: LatticePoint = (0, 0)):
-    """Chord polyline of the path, rightmost letter first."""
-    u, v = start
-    pts = [lattice_to_plane(start)]
-    for ch in reversed(w.letters):
-        du, dv = STEP_DISPLACEMENTS[ch]
-        u, v = u + du, v + dv
-        pts.append(lattice_to_plane((u, v)))
-    return pts
-
-
-def winding_cells(w: Word, start: LatticePoint = (0, 0)) -> dict:
-    """Signed winding number of the closed path around each cell center.
-
-    Computed by summing signed crossings of the eastward ray from each
-    candidate center against the step-chord polygon; chords never pass
-    through a cell center, so the count is exact.  Cells with winding 0
-    are omitted.
-    """
-    if not is_closed(w):
-        raise WordError(f"winding_cells requires a closed word, got {w}")
-    pts = path_plane_points(w, start)
-    if len(pts) == 1:
-        return {}
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    out = {}
-    for q in range(min(xs) // 3 - 1, max(xs) // 3 + 2):
-        for r in range((min(ys) - q) // 2 - 1, (max(ys) - q) // 2 + 2):
-            cx, cy = 3 * q, q + 2 * r
-            wind = 0
-            for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
-                if y1 <= cy < y2:
-                    if (x2 - x1) * (cy - y1) > (y2 - y1) * (cx - x1):
-                        wind += 1
-                elif y2 <= cy < y1:
-                    if (x2 - x1) * (cy - y1) < (y2 - y1) * (cx - x1):
-                        wind -= 1
-            if wind:
-                out[(q, r)] = wind
-    return out
+def left_cells(w: Word) -> frozenset:
+    """The cells on the left of the path of `w` from the origin, rightmost
+    letter first: for a boundary word walked counterclockwise, every
+    region cell that has a boundary edge."""
+    x, y = lattice_to_plane((0, 0))
+    cells = set()
+    for step in reversed(w.letters):
+        for dx, dy in STEP_EDGE_DELTAS[step]:
+            # the walked edge is edge k of the cell whose corner k is here
+            kx, ky = _CORNERS[_EDGE_K[dx, dy]]
+            q = (x - kx) // 3
+            cells.add((q, (y - ky - q) // 2))
+            x, y = x + dx, y + dy
+    return frozenset(cells)
 
 
 @dataclass(frozen=True)
@@ -263,6 +237,8 @@ def region_boundary_word(region: Region,
     cell, k, letters = region.walk or _boundary_walk(cells)
     if start_choice is not None:
         cell, k = start_choice
+        if type(k) is not int or not 0 <= k < 6:
+            raise RegionError(f"edge index {k!r} is not an integer in 0..5")
         if cell not in cells or list(neighbors(cell))[k] in cells:
             raise RegionError(f"({cell}, {k}) is not a boundary edge")
         letters = _walk_from(cells, cell, k)
@@ -280,11 +256,9 @@ def region_boundary_word(region: Region,
 def grow_random_region(rng: Random, n_cells: int) -> Region:
     """Random simply connected region grown by boundary accretion.
 
-    Each step adds a random frontier cell whose k neighbours in the region
-    form one arc of its ring.  That adds one cell, k adjacent pairs and
-    k - 1 mutually adjacent triples, so cells - pairs + triples, the Euler
-    characteristic of the union, stays 1: the region stays connected and
-    gains no hole."""
+    Each step adds a random frontier cell whose neighbours in the region
+    form one arc of its ring, so the Euler characteristic stays 1 (see
+    ring_arcs): the region stays connected and gains no hole."""
     cells = {(0, 0)}
     fits = sorted(neighbors((0, 0)))  # such frontier cells, kept sorted
     while len(cells) < n_cells:
@@ -293,7 +267,7 @@ def grow_random_region(rng: Random, n_cells: int) -> Region:
         for n in neighbors(cell):  # only their rings changed
             i = bisect_left(fits, n)
             listed = i < len(fits) and fits[i] == n
-            if n not in cells and _region_arcs(n, cells) == 1:
+            if n not in cells and ring_arcs(n, cells) == 1:
                 if not listed:
                     fits.insert(i, n)
             elif listed:
@@ -301,8 +275,15 @@ def grow_random_region(rng: Random, n_cells: int) -> Region:
     return Region(frozenset(cells))
 
 
-def _region_arcs(cell, cells) -> int:
-    """Number of runs of region cells around the ring of `cell`."""
+def ring_arcs(cell, cells) -> int:
+    """Number of runs of `cells` around the ring of `cell`.
+
+    Two hexagons meet only along an edge, and three only at a corner they
+    share, so the Euler characteristic of a union of cells is cells -
+    adjacent pairs + mutually adjacent triples.  Adding `cell` to `cells`,
+    which lacks it, adds one cell, k pairs and k - arcs triples for its k
+    neighbours in `cells` (a full ring counts as no run), so it changes
+    that characteristic by 1 - arcs."""
     ring = [n in cells for n in neighbors(cell)]
     return sum(a and not b for a, b in zip(ring, ring[1:] + ring[:1]))
 

@@ -18,8 +18,8 @@ from itertools import islice
 
 from . import fixtures
 from .cyclo import PMClass
-from .hexgrid import (Region, RegionError, neighbors, region_boundary_word,
-                      winding_cells)
+from .hexgrid import (Region, left_cells, neighbors, region_boundary_word,
+                      region_validate, ring_arcs)
 from .words import Word, classify_pm, eval_word, step_word
 
 KINDS = ("bone", "stone", "snake")
@@ -39,14 +39,15 @@ class TileShape:
 
 
 def _build_catalog() -> tuple:
+    # every cell of a tile has a boundary edge, so lies left of its word
     shapes = []
     for i, (name, letters) in enumerate(fixtures.TILE_WORDS.items()):
         kind, orientation = name.split("_", 1)
         word = step_word(letters)
-        wind = winding_cells(word)
-        assert set(wind.values()) == {1}
-        shapes.append(TileShape(kind, orientation, i,
-                                frozenset(wind), word))
+        cells = left_cells(word)
+        walked = region_boundary_word(region_validate(cells)).word.letters
+        assert len(walked) == len(letters) and walked in letters * 2, name
+        shapes.append(TileShape(kind, orientation, i, cells, word))
     return tuple(shapes)
 
 
@@ -407,11 +408,19 @@ def standard_tiling_solve(region: Region, kinds=KINDS, mode: str = "first",
     candidates in placement order.  The search is iterative, so its depth
     is not limited by the recursion limit, and it keeps its candidate
     counts live, so a bar of n bones takes time linear in n.
+    A tiling's boundary value is the product of its tiles' signs, so a
+    region whose class is Other, or -I when stones are excluded, has no
+    cover and is answered before any placement is made.
     """
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")
     if cap < 0:
         raise ValueError("cap must be >= 0")
+    if region.cells:
+        klass = boundary_obstruction_check(region)
+        if klass is PMClass.OTHER or (klass is PMClass.MINUS_IDENTITY
+                                      and "stone" not in kinds):
+            return None if mode == "first" else TilingCount(0, False)
     covers = _exact_covers(region.cells,
                            enumerate_placements(region.cells, kinds))
     if mode == "first":
@@ -480,15 +489,17 @@ def constructible_sequence_check(steps) -> SequenceReport:
 
     After every step the coverage must stay 0/1 everywhere, the support
     must remain edge-connected and simply connected, and the tile must
-    touch the support boundary (first step exempt).  Each step's directly
-    evaluated boundary class must equal the stone-parity ledger
-    (-1)^(#stone steps so far); removing a stone flips the sign, bones and
-    snakes leave it unchanged.  One boundary walk per step checks the
-    support and gives its class.  A touching add cannot disconnect a
-    region, nor a remove touching its connected complement puncture it,
-    so a RegionError names the fault.
+    touch the support boundary (first step exempt).  A touching add keeps
+    the support connected, and a remove touching its connected complement
+    makes no hole, so a non-empty support is a region exactly when its
+    Euler characteristic, kept cell by cell with ring_arcs, is 1.  Each
+    step's class is the stone-parity ledger (-1)^(#stone steps so far),
+    and agrees by a theorem: a tile's boundary value is +-I, which is
+    central, so gluing it on along one arc, or cutting it off, multiplies
+    the support's value by it.  No region is walked or evaluated.
     """
     support = set()
+    chi = 0  # cells - adjacent pairs + mutually adjacent triples
     stone_steps = 0
     records = []
 
@@ -504,31 +515,28 @@ def constructible_sequence_check(steps) -> SequenceReport:
             if support and not any(n in support for c in cells
                                    for n in neighbors(c)):
                 return fail(i, "interior placement")
+            for c in cells:
+                chi += 1 - ring_arcs(c, support)
+                support.add(c)
         elif step.action == "remove":
             if not cells <= support:
                 return fail(i, "coverage conflict")
             if not any(n not in support for c in cells for n in neighbors(c)):
                 return fail(i, "interior placement")
+            for c in cells:
+                support.remove(c)
+                chi -= 1 - ring_arcs(c, support)
         else:
             raise ValueError(f"bad action {step.action!r}")
-        support = support | cells if step.action == "add" else support - cells
+        if support and chi != 1:
+            return fail(i, "puncture" if step.action == "add"
+                        else "disconnected")
         if kind == "stone":
             stone_steps += 1
-        if support:
-            try:
-                klass = boundary_obstruction_check(Region(frozenset(support)))
-            except RegionError:
-                return fail(i, "puncture" if step.action == "add"
-                            else "disconnected")
-        else:
-            klass = PMClass.PLUS_IDENTITY
         sign = -1 if stone_steps % 2 else 1
-        agrees = klass is (PMClass.MINUS_IDENTITY if sign < 0
-                           else PMClass.PLUS_IDENTITY)
+        klass = PMClass.MINUS_IDENTITY if sign < 0 else PMClass.PLUS_IDENTITY
         records.append(StepRecord(i, step.action, kind, len(support),
-                                  klass, sign, agrees))
-        if not agrees:
-            return fail(i, "sign ledger mismatch")
+                                  klass, sign, True))
     return SequenceReport(True, None, None, tuple(records))
 
 

@@ -5,7 +5,9 @@ package: numeric evaluation through a complex embedding of the ring,
 word evaluation and word scans by plain Mat2 products (no group table),
 the census's former per-length count over lazily interned matrices, the
 former closure-set enumeration and dict-of-substrings relation reducer,
-the former bounding-box flood for holes, tiling counts by raw subset search,
+the former bounding-box flood for holes, winding numbers by ray crossings,
+the former per-step boundary walk of the sequence check, tiling counts
+by raw subset search,
 the former anchor-scan placement enumeration, the former recursive and
 rescanning exact covers, dense-transform lattice and word-by-word
 endpoint walk, and group orders from a presentation alone by coset
@@ -19,12 +21,15 @@ import itertools
 
 from hexsbs.cyclo import (IDENTITY, MINUS_IDENTITY, CycInt, Mat2, PMClass,
                           classify_pm)
-from hexsbs.hexgrid import STEP_DISPLACEMENTS, is_closed, neighbors
+from hexsbs.hexgrid import (STEP_DISPLACEMENTS, LatticePoint, Region,
+                            RegionError, is_closed, lattice_to_plane,
+                            neighbors)
 from hexsbs.search import RelationRecord, Reduction
-from hexsbs.tiling import (KINDS, Placement, TilingCount, enumerate_placements,
-                           tile_catalog)
-from hexsbs.words import (STEP_GROUP, STEP_MATRICES, Word, eval_word,
-                          step_word)
+from hexsbs.tiling import (KINDS, Placement, SequenceReport, StepRecord,
+                           TilingCount, boundary_obstruction_check,
+                           enumerate_placements, tile_catalog)
+from hexsbs.words import (STEP_GROUP, STEP_MATRICES, Word, WordError,
+                          eval_word, step_word)
 
 OMEGA_C = cmath.exp(1j * cmath.pi / 6)  # primitive 12th root of unity
 
@@ -259,6 +264,118 @@ def flood_is_simply_connected(cells) -> bool:
                 seen.add(n)
                 stack.append(n)
     return seen == outside
+
+
+def path_plane_points(w: Word, start: LatticePoint = (0, 0)):
+    """Chord polyline of the path, rightmost letter first."""
+    u, v = start
+    pts = [lattice_to_plane(start)]
+    for ch in reversed(w.letters):
+        du, dv = STEP_DISPLACEMENTS[ch]
+        u, v = u + du, v + dv
+        pts.append(lattice_to_plane((u, v)))
+    return pts
+
+
+def winding_cells(w: Word, start: LatticePoint = (0, 0)) -> dict:
+    """Signed winding number of the closed path around each cell center.
+
+    Computed by summing signed crossings of the eastward ray from each
+    candidate center against the step-chord polygon; chords never pass
+    through a cell center, so the count is exact.  Cells with winding 0
+    are omitted.
+    """
+    if not is_closed(w):
+        raise WordError(f"winding_cells requires a closed word, got {w}")
+    pts = path_plane_points(w, start)
+    if len(pts) == 1:
+        return {}
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    out = {}
+    for q in range(min(xs) // 3 - 1, max(xs) // 3 + 2):
+        for r in range((min(ys) - q) // 2 - 1, (max(ys) - q) // 2 + 2):
+            cx, cy = 3 * q, q + 2 * r
+            wind = 0
+            for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
+                if y1 <= cy < y2:
+                    if (x2 - x1) * (cy - y1) > (y2 - y1) * (cx - x1):
+                        wind += 1
+                elif y2 <= cy < y1:
+                    if (x2 - x1) * (cy - y1) < (y2 - y1) * (cx - x1):
+                        wind -= 1
+            if wind:
+                out[(q, r)] = wind
+    return out
+
+
+def walking_sequence_check(steps) -> SequenceReport:
+    """The former constructible_sequence_check, which walks and evaluates
+    the whole support after every step.  Simulate adding/removing tiles
+    along the boundary.
+
+    After every step the coverage must stay 0/1 everywhere, the support
+    must remain edge-connected and simply connected, and the tile must
+    touch the support boundary (first step exempt).  Each step's directly
+    evaluated boundary class must equal the stone-parity ledger
+    (-1)^(#stone steps so far); removing a stone flips the sign, bones and
+    snakes leave it unchanged.  One boundary walk per step checks the
+    support and gives its class.  A touching add cannot disconnect a
+    region, nor a remove touching its connected complement puncture it,
+    so a RegionError names the fault.
+    """
+    support = set()
+    stone_steps = 0
+    records = []
+
+    def fail(i, reason):
+        return SequenceReport(False, i, reason, tuple(records))
+
+    for i, step in enumerate(steps):
+        cells = step.placement.cells()
+        kind = step.placement.shape.kind
+        if step.action == "add":
+            if cells & support:
+                return fail(i, "coverage conflict")
+            if support and not any(n in support for c in cells
+                                   for n in neighbors(c)):
+                return fail(i, "interior placement")
+        elif step.action == "remove":
+            if not cells <= support:
+                return fail(i, "coverage conflict")
+            if not any(n not in support for c in cells for n in neighbors(c)):
+                return fail(i, "interior placement")
+        else:
+            raise ValueError(f"bad action {step.action!r}")
+        support = support | cells if step.action == "add" else support - cells
+        if kind == "stone":
+            stone_steps += 1
+        if support:
+            try:
+                klass = boundary_obstruction_check(Region(frozenset(support)))
+            except RegionError:
+                return fail(i, "puncture" if step.action == "add"
+                            else "disconnected")
+        else:
+            klass = PMClass.PLUS_IDENTITY
+        sign = -1 if stone_steps % 2 else 1
+        agrees = klass is (PMClass.MINUS_IDENTITY if sign < 0
+                           else PMClass.PLUS_IDENTITY)
+        records.append(StepRecord(i, step.action, kind, len(support),
+                                  klass, sign, agrees))
+        if not agrees:
+            return fail(i, "sign ledger mismatch")
+    return SequenceReport(True, None, None, tuple(records))
+
+
+def euler_characteristic(cells) -> int:
+    """cells - adjacent pairs + mutually adjacent triples, by counting
+    each pair's common neighbours."""
+    cells = set(cells)
+    adj = {c: {n for n in neighbors(c) if n in cells} for c in cells}
+    pairs = sum(map(len, adj.values())) // 2
+    triples = sum(len(adj[a] & adj[b]) for a in cells for b in adj[a]) // 6
+    return len(cells) - pairs + triples
 
 
 def brute_force_tiling_count(region_cells, placements) -> int:

@@ -14,7 +14,7 @@ from hexsbs.fixtures import (CONJECTURE_MINUS, CONJECTURE_PLUS,
                              SEQUENCE_2X2X2_LEFT, SEQUENCE_2X2X2_MIDDLE,
                              TABLE_WORDS, TILE_EDGE_WORDS, TILE_WORDS)
 from hexsbs.hexgrid import (grow_random_region, region_boundary_word,
-                            region_validate, winding_cells)
+                            region_validate)
 from hexsbs.search import (SearchConfig, enumerate_identity_words,
                            group_closure_probe, identity_word_census,
                            verify_reduction_table)
@@ -29,7 +29,8 @@ from hexsbs.words import (STEP_MATRICES, canonical_representative, closure,
                           invert_word, step_word)
 
 from oracles import (brute_force_tiling_count, coset_trace,
-                     naive_identity_classes, sign_presentation, todd_coxeter)
+                     naive_identity_classes, sign_presentation, todd_coxeter,
+                     winding_cells)
 
 
 def report(criterion, ok, detail=""):

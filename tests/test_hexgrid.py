@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexsbs.fixtures import (BARBELL_CELLS, BARBELL_WORD, HEX7_CELLS,
                              HEX7_WORD, RING6_CELLS, TILE_WORDS)
@@ -10,11 +12,12 @@ from hexsbs.hexgrid import (STEP_DISPLACEMENTS, STEP_EDGE_DELTAS, Region,
                             lattice_to_plane, neighbors, path_endpoint,
                             plane_to_lattice, region_boundary_word,
                             region_from_ascii, region_from_json,
-                            region_validate, winding_cells)
+                            region_validate, ring_arcs)
 from hexsbs.words import (STEP_TO_EDGES, WordError, closure, eval_word,
                           invert_word, step_to_edge, step_word)
 
-from oracles import flood_is_simply_connected
+from oracles import (euler_characteristic, flood_is_simply_connected,
+                     winding_cells)
 
 
 def test_path_endpoint():
@@ -177,6 +180,11 @@ def test_boundary_word_start_choice():
         region_boundary_word(region, start_choice=((-1, 0), 0))  # interior
     with pytest.raises(RegionError):
         region_boundary_word(region, start_choice=((5, 5), 0))  # outside
+    # (0, 0) is a boundary cell, as `other` shows: only k is at fault; -1
+    # used to walk forever and 6 to raise IndexError
+    for k in (-1, 6, 7, 1.0, True, "0", None):
+        with pytest.raises(RegionError, match="edge index"):
+            region_boundary_word(region, start_choice=((0, 0), k))
 
 
 def test_closure_members_of_closed_word_are_closed():
@@ -263,3 +271,27 @@ def test_grow_random_region_large():
         assert len(cells) == n
         assert is_edge_connected(cells)
         assert flood_is_simply_connected(cells)
+
+
+BOX = [(q, r) for q in range(5) for r in range(5)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask=st.lists(st.booleans(), min_size=len(BOX), max_size=len(BOX)),
+       at=st.integers(0, len(BOX) - 1))
+def test_ring_arcs_is_the_euler_characteristic_step(mask, at):
+    # 1 - arcs is the change in cells - pairs + triples when a cell joins
+    cells = {c for c, keep in zip(BOX, mask) if keep}
+    cell = BOX[at]
+    cells.discard(cell)
+    assert 1 - ring_arcs(cell, cells) == \
+        euler_characteristic(cells | {cell}) - euler_characteristic(cells)
+
+
+def test_euler_characteristic_counts_pieces_less_holes():
+    rng = random.Random(31)
+    for _ in range(30):
+        region = grow_random_region(rng, rng.randrange(1, 30))
+        assert euler_characteristic(region.cells) == 1
+    assert euler_characteristic(RING6_CELLS) == 0  # one hole
+    assert euler_characteristic(BARBELL_CELLS) == 2  # two single cells

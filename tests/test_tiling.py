@@ -19,10 +19,10 @@ from hexsbs.fixtures import (CRESCENT_CELLS, CRESCENT_CERTIFICATE,
                              SEQUENCE_2X2X2_MIDDLE,
                              SEQUENCE_2X2X2_MIDDLE_TARGET, TILE_WORDS)
 from hexsbs.hexgrid import (Region, RegionError, grow_random_region,
-                            neighbors, region_boundary_word, region_validate,
-                            winding_cells)
+                            neighbors, region_boundary_word, region_validate)
 from hexsbs.tiling import (KINDS, ConstructionStep, IntegerLattice, Placement,
-                           SignedTiling, StoneProbe, _exact_covers,
+                           SignedTiling, StoneProbe, TilingCount,
+                           _exact_covers,
                            boundary_obstruction_check,
                            constructible_sequence_check, enumerate_placements,
                            min_stone_probe, pad_window, signed_tiling_solve,
@@ -33,7 +33,8 @@ from hexsbs.words import closure, step_word
 from oracles import (DenseIntegerLattice, anchor_scan_placements,
                      brute_force_tiling_count, flood_is_simply_connected,
                      recursive_exact_cover, rescan_exact_covers,
-                     transform_from_log)
+                     transform_from_log, walking_sequence_check,
+                     winding_cells)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # every region fixture but ring6.json, whose hole makes it invalid input
@@ -515,6 +516,48 @@ def test_negative_cap_and_padding_rejected():
         signed_tiling_solve(other, padding=-1)
     with pytest.raises(ValueError, match="padding"):
         min_stone_probe(other, padding=-1)
+    with pytest.raises(ValueError, match="cap"):
+        standard_tiling_solve(other, mode="count", cap=-1)
+    with pytest.raises(ValueError, match="mode"):
+        standard_tiling_solve(other, mode="bogus")
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       built=st.booleans(),
+       kinds=st.sampled_from([KINDS, ("bone", "snake"), ("bone",)]))
+@example(seed=0, built=False, kinds=KINDS)  # a single cell: Other
+def test_exact_cover_gate_matches_ungated_search(seed, built, kinds):
+    # a region the boundary gate answers has no cover in the full search
+    rng = random.Random(seed)
+    if built:
+        region = tile_built_region(rng, rng.randrange(1, 7))
+    else:
+        region = grow_random_region(rng, rng.randrange(1, 25))
+    placements = enumerate_placements(region.cells, kinds)
+    covers = list(islice(_exact_covers(region.cells, placements), 101))
+    assert standard_tiling_solve(region, kinds) == \
+        (covers[0] if covers else None)
+    assert standard_tiling_solve(region, kinds, "count", cap=100) == \
+        TilingCount(min(len(covers), 100), len(covers) > 100)
+
+
+def test_exact_cover_gate_answers_before_any_placement(monkeypatch):
+    def no_placements(*args, **kwargs):
+        raise AssertionError("placements enumerated for a gated region")
+
+    hex4 = region_validate([(q, r) for q in range(-3, 4)
+                            for r in range(-3, 4) if abs(q + r) <= 3])
+    stone = region_validate(tile_shape("stone", "left").cells)
+    assert boundary_obstruction_check(hex4) is PMClass.OTHER
+    assert boundary_obstruction_check(stone) is PMClass.MINUS_IDENTITY
+    monkeypatch.setattr("hexsbs.tiling.enumerate_placements", no_placements)
+    for region, kinds in ((hex4, KINDS), (hex4, ("bone",)),
+                          (stone, ("bone", "snake")), (stone, ("bone",))):
+        assert standard_tiling_solve(region, kinds) is None
+        for cap in (0, 10 ** 6):
+            assert standard_tiling_solve(region, kinds, "count", cap) == \
+                TilingCount(0, False)
 
 
 def test_boundary_obstruction():
@@ -614,6 +657,85 @@ def test_sequence_puncture():
     assert (report.violation_index, report.violation_reason) == \
         (1, "puncture")
     assert len(report.records) == 1
+
+
+def random_steps(rng, length):
+    """Up to `length` random adds and removes around a growing support.
+    A step the walking oracle rejects is mostly redrawn and sometimes kept
+    to end the sequence, and an add now and then lands far away, so every
+    outcome of the check occurs."""
+    catalog = tile_catalog()
+    out, support = [], set()
+    while len(out) < length:
+        remove = bool(support) and rng.random() < 0.3
+        pool = sorted(support) if remove else sorted(
+            {n for c in support for n in neighbors(c)} - support) or [(0, 0)]
+        q, r = rng.choice(pool)
+        if rng.random() < 0.05:
+            q += 9
+        shape = rng.choice(catalog)
+        oq, orr = rng.choice(sorted(shape.cells))
+        out.append(ConstructionStep("remove" if remove else "add",
+                                    Placement(shape, (q - oq, r - orr))))
+        if not walking_sequence_check(out).valid:
+            if rng.random() < 0.15:
+                break
+            out.pop()
+            continue
+        cells = out[-1].placement.cells()
+        support = support - cells if remove else support | cells
+    return out
+
+
+def test_sequence_check_matches_walking_oracle_on_every_outcome():
+    rng = random.Random(58)
+    reasons, stone_records = {}, 0
+    for _ in range(300):
+        sequence = random_steps(rng, rng.randrange(1, 16))
+        want = walking_sequence_check(sequence)
+        assert constructible_sequence_check(sequence) == want
+        reasons[want.violation_reason] = \
+            reasons.get(want.violation_reason, 0) + 1
+        stone_records += sum(r.kind == "stone" for r in want.records)
+    assert set(reasons) == {None, "coverage conflict", "interior placement",
+                            "disconnected", "puncture"}, reasons
+    assert stone_records >= 100
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), length=st.integers(1, 24))
+def test_sequence_check_matches_walking_oracle(seed, length):
+    sequence = random_steps(random.Random(seed), length)
+    report = constructible_sequence_check(sequence)
+    assert report == walking_sequence_check(sequence)
+    assert all(r.agrees for r in report.records)
+
+
+def test_sequence_check_walks_and_evaluates_nothing(monkeypatch):
+    rng = random.Random(59)
+    sequences = [steps(SEQUENCE_2X2X2_LEFT), steps(SEQUENCE_2X2X2_MIDDLE),
+                 steps(CRESCENT_SEQUENCE)]
+    sequences += [random_steps(rng, 12) for _ in range(40)]
+    want = [walking_sequence_check(s) for s in sequences]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sequence check built or read a region")
+
+    for name in ("Region", "region_boundary_word", "eval_word"):
+        monkeypatch.setattr(f"hexsbs.tiling.{name}", forbidden)
+    assert [constructible_sequence_check(s) for s in sequences] == want
+
+
+def test_sequence_check_linear_on_a_long_bar():
+    # the walking check is quadratic: 4.9 s on a 1000-bone bar (2 cores)
+    bone = tile_shape("bone", "vertical")
+    bar = [ConstructionStep("add", Placement(bone, (0, 3 * i)))
+           for i in range(10 ** 4)]
+    start = time.perf_counter()
+    report = constructible_sequence_check(bar)
+    assert time.perf_counter() - start < 3
+    assert report.valid and len(report.records) == 10 ** 4
+    assert report.records[-1].support_size == 3 * 10 ** 4
 
 
 def test_min_stone_probe_hex7():
