@@ -63,8 +63,9 @@ def load_word(path_or_literal: str, alphabet: str = "step") -> Word:
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    # json.dumps runs the C encoder; json.dump to a stream would run the
+    # pure-Python one, for the same bytes
+    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def _kinds(arg: str):
@@ -326,9 +327,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first run, not at import
+
+
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    The parser is built on the first call and reused by every later one in
+    the process: parsing keeps no state in it, and each call gets a fresh
+    namespace.  An argparse error raises SystemExit(2), as before."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except InputError as e:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from random import Random
 
 from .words import STEP_TO_EDGES, Word, step_word
@@ -187,9 +188,22 @@ def _boundary_walk(cells) -> tuple:
     return cell, k, letters
 
 
-def region_validate(cells, allow_empty: bool = False) -> Region:
-    """A Region from (q, r) pairs of ints, rejecting a malformed or
-    duplicate entry by its index, and any set that is not one region."""
+def _bulk_cell_set(cells: list) -> frozenset | None:
+    """The entries as a set of (q, r) tuples when every one is a list or
+    tuple of exactly two ints and none repeats, else None.  Each check
+    runs over the whole list at C speed, and the coordinate types are
+    checked before anything is hashed, so nothing here can raise."""
+    if not ({list, tuple}.issuperset(map(type, cells))
+            and {2}.issuperset(map(len, cells))
+            and {int}.issuperset(map(type, chain.from_iterable(cells)))):
+        return None
+    cell_set = frozenset(map(tuple, cells))
+    return cell_set if len(cell_set) == len(cells) else None
+
+
+def _scan_cells(cells: list) -> frozenset:
+    """The entries as a set of (q, r) tuples, one index at a time: a
+    RegionError names the first malformed or duplicate entry."""
     seen = set()
     for i, cell in enumerate(cells):
         if not isinstance(cell, (list, tuple)) or len(cell) != 2:
@@ -201,7 +215,20 @@ def region_validate(cells, allow_empty: bool = False) -> Region:
         if tuple(cell) in seen:
             raise RegionError(f"cell {i}: {list(cell)} is a duplicate")
         seen.add(tuple(cell))
-    cell_set = frozenset(seen)
+    return frozenset(seen)
+
+
+def region_validate(cells, allow_empty: bool = False) -> Region:
+    """A Region from (q, r) pairs of ints, rejecting a malformed or
+    duplicate entry by its index, and any set that is not one region.
+
+    The bulk check accepts a list of plain pairs at C speed; only when it
+    fails does the per-index scan run, which names the first fault (or
+    accepts what the bulk check leaves to it, such as int subclasses)."""
+    cells = list(cells)
+    cell_set = _bulk_cell_set(cells)
+    if cell_set is None:
+        cell_set = _scan_cells(cells)
     if not cell_set:
         if allow_empty:
             return Region(cell_set)

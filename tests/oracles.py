@@ -5,7 +5,8 @@ package: numeric evaluation through a complex embedding of the ring,
 word evaluation and word scans by plain Mat2 products (no group table),
 the census's former per-length count over lazily interned matrices, the
 former closure-set enumeration and dict-of-substrings relation reducer,
-the former bounding-box flood for holes, winding numbers by ray crossings,
+the former bounding-box flood for holes, the former per-index region
+validation, winding numbers by ray crossings,
 the former per-step boundary walk of the sequence check, tiling counts
 by raw subset search,
 the former anchor-scan placement enumeration, the former recursive and
@@ -22,8 +23,8 @@ import itertools
 from hexsbs.cyclo import (IDENTITY, MINUS_IDENTITY, CycInt, Mat2, PMClass,
                           classify_pm)
 from hexsbs.hexgrid import (STEP_DISPLACEMENTS, LatticePoint, Region,
-                            RegionError, is_closed, lattice_to_plane,
-                            neighbors)
+                            RegionError, _boundary_walk, is_closed,
+                            lattice_to_plane, neighbors)
 from hexsbs.search import RelationRecord, Reduction
 from hexsbs.tiling import (KINDS, Placement, SequenceReport, StepRecord,
                            TilingCount, boundary_obstruction_check,
@@ -264,6 +265,28 @@ def flood_is_simply_connected(cells) -> bool:
                 seen.add(n)
                 stack.append(n)
     return seen == outside
+
+
+def scanning_region_validate(cells, allow_empty: bool = False) -> Region:
+    """A Region from (q, r) pairs of ints, rejecting a malformed or
+    duplicate entry by its index, and any set that is not one region."""
+    seen = set()
+    for i, cell in enumerate(cells):
+        if not isinstance(cell, (list, tuple)) or len(cell) != 2:
+            raise RegionError(f"cell {i}: {cell!r} is not a [q, r] pair")
+        for x in cell:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise RegionError(
+                    f"cell {i}: coordinate {x!r} is not an integer")
+        if tuple(cell) in seen:
+            raise RegionError(f"cell {i}: {list(cell)} is a duplicate")
+        seen.add(tuple(cell))
+    cell_set = frozenset(seen)
+    if not cell_set:
+        if allow_empty:
+            return Region(cell_set)
+        raise RegionError("empty region")
+    return Region(cell_set, _boundary_walk(cell_set))
 
 
 def path_plane_points(w: Word, start: LatticePoint = (0, 0)):

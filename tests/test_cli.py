@@ -121,6 +121,67 @@ def test_unexpected_failure_exits_2_without_traceback(capsys, monkeypatch,
     assert (code, out, err) == (2, "", line)
 
 
+def fresh(capsys, monkeypatch, *argv):
+    """invoke with a parser built for this call alone."""
+    monkeypatch.setattr(cli, "_parser", None)
+    return invoke(capsys, *argv)
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch,
+                                                    tmp_path):
+    path = tmp_path / "para.json"
+    path.write_text(json.dumps(
+        {"cells": [[q, r] for q in range(4) for r in range(6)]}))
+    calls = [["solve-exact", "--in", str(path), "--count", "--cap", "5"],
+             ["solve-exact", "--in", str(path)],
+             ["solve-exact", "--in", str(path), "--kinds", "bone", "--count"],
+             ["solve-exact", "--in", str(path), "--count"],
+             ["check-region", "--in", str(path)]]
+    expected = [fresh(capsys, monkeypatch, *argv) for argv in calls]
+    assert expected[0][1] == '{"cap_exceeded": true, "count": 5}\n'
+    assert expected[1][1].startswith('{"placements": ')
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [invoke(capsys, *argv) for argv in calls] == expected
+    assert [invoke(capsys, *argv) for argv in calls[::-1]] == expected[::-1]
+
+
+def test_shared_parser_recovers_from_a_usage_error(capsys, monkeypatch):
+    valid = ["solve-exact", "--in", str(FIXTURES / "bone.json")]
+    expected = fresh(capsys, monkeypatch, *valid)
+    for bad in (valid + ["--no-such-flag"], ["frobnicate"],
+                ["solve-exact", "--cap", "many", "--in", valid[2]]):
+        with pytest.raises(SystemExit) as err:
+            run(bad)
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert invoke(capsys, *valid) == expected
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv in (["verify-tiles"], ["group-probe"], ["verify-tiles"],
+                 ["check-region", "--in", str(FIXTURES / "hex7.json")]):
+        invoke(capsys, *argv)
+    assert len(built) == 1
+
+
+def test_cli_import_builds_no_parser():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    child = ("import sys; sys.path.insert(0, sys.argv[1]); import hexsbs.cli; "
+             "print(hexsbs.cli._parser)")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", child, src],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "None\n"), proc.stderr
+
+
 def test_missing_file(capsys):
     code, _, err = invoke(capsys, "check-region", "--in", "no_such.json")
     assert code == 2
@@ -521,3 +582,114 @@ def test_signed_stdout_matches_golden_hash(capsys, command, name):
                               *variant)
         digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == GOLDEN_SIGNED_STDOUT[command, name]
+
+
+# sha256 over "<exit code>\n<stdout>" of the runs of every other command,
+# pinned while `_emit` still wrote through `json.dump`, so the bytes stay
+# the same whichever encoder writes them.  The two parallelograms add
+# regions with many tilings, and a count that reaches the cap.
+REGION_FIXTURES = ("bone.json", "crescent.json", "hex7.json", "hex7.txt",
+                   "ring6.json", "single_cell.json")
+PARALLELOGRAMS = {"para3x4": (3, 4), "para4x6": (4, 6)}
+SEQUENCE_FIXTURES = ("seq_2x2x2_left.json", "seq_2x2x2_middle.json",
+                     "seq_crescent.json")
+EXACT_KINDS = ("bone,stone,snake", "bone", "bone,snake")
+
+
+def golden_runs(command, name, tmp_path):
+    path = str(FIXTURES / name) if name else None
+    if name in PARALLELOGRAMS:
+        width, height = PARALLELOGRAMS[name]
+        path = str(tmp_path / f"{name}.json")
+        Path(path).write_text(json.dumps({"cells": [
+            [q, r] for q in range(width) for r in range(height)]}))
+    if command == "solve-exact":
+        return [["solve-exact", "--in", path, "--kinds", k]
+                for k in EXACT_KINDS]
+    if command == "solve-exact --count":
+        return [["solve-exact", "--in", path, "--kinds", k, "--count",
+                 "--cap", "100"] for k in EXACT_KINDS]
+    if path is not None:
+        return [[command, "--in", path]]
+    return [command.split()]
+
+
+GOLDEN_STDOUT = {
+    ("check-region", "bone.json"):
+        "365ef23936ea0a71e4a86e61b76b6459fb7ecf436ee603eb2ca1721402e8176f",
+    ("check-region", "crescent.json"):
+        "1fad4f075069e1e4f656374c5ae328e2a30e2e3f3adbb8e2dfe9745f38ac61e8",
+    ("check-region", "hex7.json"):
+        "890afffff57aa093e906816c9b7a725316ec0abe064fbb7133245bb9cf10428b",
+    ("check-region", "hex7.txt"):
+        "890afffff57aa093e906816c9b7a725316ec0abe064fbb7133245bb9cf10428b",
+    ("check-region", "para3x4"):
+        "8cd5ef9cc0edfbb24618ad9926dd49a61874d2933f7a1dfdaf842e7f6f46c2e9",
+    ("check-region", "para4x6"):
+        "0368f7dc91df5f8bb237b16fc0772e207b700f609f8fca1502863863f24f4795",
+    ("check-region", "ring6.json"):
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    ("check-region", "single_cell.json"):
+        "4a09cd4c41619ffcf52e19f3a17619d317e5f28a8d448988dcdda7a6ed9f800f",
+    ("check-sequence", "seq_2x2x2_left.json"):
+        "71bef79c50027cefa10aa0c8ed2c925060ac7444ed9671729470f704308f9db6",
+    ("check-sequence", "seq_2x2x2_middle.json"):
+        "743ae6e42ba4b1eb8691dfe84c8cce45053881e8bed6f6134f4e03da3091b78b",
+    ("check-sequence", "seq_crescent.json"):
+        "11913c901d51f3c05c7dda63360f70f5293d2b6d2f5cd4a7f72cd3cc6106c75e",
+    ("endpoints --max-length 5", ""):
+        "bceb85ffc99428a7f59f69e7d8996df4bd7f519bfd7badb8b413efcec1f68df6",
+    ("enumerate --census --max-length 12", ""):
+        "cfebd2c6e7c71af75d17d45d0e734c8d59ece993c1352f5fcd849633d9995edb",
+    ("enumerate --max-length 6", ""):
+        "72f641e890e77bebd210ff80d0787ab518dc026ecf783de27896a220f8efdff3",
+    ("group-probe", ""):
+        "90b534a2d516fd116dceaea0a5a42923540bb90bb269c4eea19a85911a358da8",
+    ("reduce --max-length 6", ""):
+        "e79936baabf8cd32c95c85a320e079ee256be24576f9316cf4e7c16909d3e8eb",
+    ("solve-exact", "bone.json"):
+        "2b0662db26bb5a21a5e5e7caf65ee62d9c3ca840da3df685acaa8e0738a3783d",
+    ("solve-exact", "crescent.json"):
+        "55ef1828d8b32b3f29ff7c9117158f415b0894aa14ca3654ea109e638b31ca75",
+    ("solve-exact", "hex7.json"):
+        "55ef1828d8b32b3f29ff7c9117158f415b0894aa14ca3654ea109e638b31ca75",
+    ("solve-exact", "hex7.txt"):
+        "55ef1828d8b32b3f29ff7c9117158f415b0894aa14ca3654ea109e638b31ca75",
+    ("solve-exact", "para3x4"):
+        "6d3c4d940938761cec34e49b360ac885f492ab848f3c9c687c8211df078e4434",
+    ("solve-exact", "para4x6"):
+        "3cd26663766aaa7af2b43718d1b7edb7b052034316a6db4d9657d1c2343183ad",
+    ("solve-exact", "ring6.json"):
+        "579df6754926501d51d60a23a65d15dacc5cfa485e604a2a5252243f8e8d1022",
+    ("solve-exact", "single_cell.json"):
+        "55ef1828d8b32b3f29ff7c9117158f415b0894aa14ca3654ea109e638b31ca75",
+    ("solve-exact --count", "bone.json"):
+        "d02586921cf487f3a389255ff0ba126f9c1243f70c275cd158c27082e0065fc0",
+    ("solve-exact --count", "crescent.json"):
+        "e9b8639f7768bc3fb38b43d38d68df557cca6b832ff7c9410e4981d5211a97db",
+    ("solve-exact --count", "hex7.json"):
+        "e9b8639f7768bc3fb38b43d38d68df557cca6b832ff7c9410e4981d5211a97db",
+    ("solve-exact --count", "hex7.txt"):
+        "e9b8639f7768bc3fb38b43d38d68df557cca6b832ff7c9410e4981d5211a97db",
+    ("solve-exact --count", "para3x4"):
+        "a8d052143b4b0bc81e1b6234bfa4c17584181437265b4eb0c6dc21b1c37f17c1",
+    ("solve-exact --count", "para4x6"):
+        "3729f85842175d5122d94b7b9e4fd75cf22b59d83df0868fccc129e21c21126f",
+    ("solve-exact --count", "ring6.json"):
+        "579df6754926501d51d60a23a65d15dacc5cfa485e604a2a5252243f8e8d1022",
+    ("solve-exact --count", "single_cell.json"):
+        "e9b8639f7768bc3fb38b43d38d68df557cca6b832ff7c9410e4981d5211a97db",
+    ("verify-reductions", ""):
+        "33eeb44b3f83ee49416bc74a3b62c4cb091419f1a6af61dd634d3fb5fb81f220",
+    ("verify-tiles", ""):
+        "0cce6e888b1d35038ff6aeb0b420f0d31c6f127bb88e902f7814568fc4c319d9",
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(GOLDEN_STDOUT))
+def test_stdout_matches_golden_hash(capsys, tmp_path, command, name):
+    digest = hashlib.sha256()
+    for argv in golden_runs(command, name, tmp_path):
+        code, out, _ = invoke(capsys, *argv)
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == GOLDEN_STDOUT[command, name]

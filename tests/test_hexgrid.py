@@ -17,7 +17,7 @@ from hexsbs.words import (STEP_TO_EDGES, WordError, closure, eval_word,
                           invert_word, step_to_edge, step_word)
 
 from oracles import (euler_characteristic, flood_is_simply_connected,
-                     winding_cells)
+                     scanning_region_validate, winding_cells)
 
 
 def test_path_endpoint():
@@ -95,6 +95,73 @@ def test_region_validate():
 def test_region_validate_rejects_malformed_cells(cells, message):
     with pytest.raises(RegionError, match=message):
         region_validate(cells)
+
+
+class Coordinate(int):
+    """An int subclass: the bulk check leaves it to the per-index scan."""
+
+
+_ODD_ENTRIES = [
+    [0.5, 0], [1, 1.0], (0, 1.5), [True, 0], (0, False), [0, "1"],
+    [0, 1, 2], [0], [], "ab", "00", 5, None, [[1], [2]], [0, [1]], ({}, 0),
+    [Coordinate(1), 0], (0, Coordinate(-1)),
+]
+_ENTRIES = st.one_of(
+    st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    st.sampled_from(_ODD_ENTRIES))
+
+
+@st.composite
+def _cell_lists(draw):
+    """A random region's cells as lists or tuples, or nothing, with valid
+    pairs, repeats and malformed entries mixed in at random places."""
+    cells = []
+    if draw(st.booleans()):
+        region = grow_random_region(random.Random(draw(st.integers(0, 999))),
+                                    draw(st.integers(1, 12)))
+        cells = [list(c) if draw(st.booleans()) else c
+                 for c in region.sorted_cells()]
+    for entry in draw(st.lists(_ENTRIES, max_size=4)):
+        cells.insert(draw(st.integers(0, len(cells))), entry)
+    if cells and draw(st.booleans()):
+        cells.insert(draw(st.integers(0, len(cells))),
+                     draw(st.sampled_from(cells)))
+    return cells
+
+
+def _validation(validate, cells, allow_empty):
+    try:
+        region = validate(cells, allow_empty)
+    except RegionError as e:
+        return str(e)
+    return region.cells, region.walk
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cell_lists(), st.booleans())
+def test_bulk_region_check_matches_per_index_scan(cells, allow_empty):
+    assert (_validation(region_validate, cells, allow_empty)
+            == _validation(scanning_region_validate, cells, allow_empty))
+
+
+def test_unhashable_coordinate_is_named_not_hashed():
+    # coordinate types are checked before any entry is hashed
+    for cells in ([[[1], [2]]], [(0, 0), ([1], 2)], [[0, 0], [0, {}]]):
+        with pytest.raises(RegionError) as err:
+            region_validate(cells)
+        assert str(err.value) == _validation(
+            scanning_region_validate, cells, False)
+    with pytest.raises(RegionError,
+                       match=r"^cell 0: coordinate \[1\] is not an integer$"):
+        region_validate([[[1], [2]]])
+
+
+def test_region_validate_takes_any_iterable():
+    region = region_validate(HEX7_CELLS)
+    for cells in (iter(HEX7_CELLS), set(HEX7_CELLS), tuple(HEX7_CELLS),
+                  (list(c) for c in HEX7_CELLS)):
+        assert region_validate(cells).cells == region.cells
 
 
 def _cell_sets(rng, count):

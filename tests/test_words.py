@@ -37,6 +37,24 @@ def test_parse():
     assert err.value.position == 1
 
 
+@pytest.mark.parametrize("alphabet, letters, bad", [
+    ("step", "XYZxyz", "Q"), ("step", "XYZxyz", "A"), ("step", "XYZxyz", " "),
+    ("edge", "ABGabg", "X"), ("edge", "ABGabg", "\n"),
+])
+def test_bad_letter_in_a_long_word_keeps_its_index(alphabet, letters, bad):
+    # one set test accepts a word; only a rejected one is scanned by index
+    text = (letters * 2000)[:10 ** 4]
+    assert parse_word(text, alphabet).letters == text
+    at = 10 ** 4 - 7
+    with pytest.raises(WordError) as err:
+        parse_word(text[:at] + bad + text[at + 1:], alphabet)
+    assert str(err.value) == f"invalid {alphabet} letter {bad!r} at index {at}"
+    assert err.value.position == at
+    with pytest.raises(WordError) as err:
+        parse_word(text + bad + bad, alphabet)
+    assert err.value.position == 10 ** 4
+
+
 def test_free_reduce():
     assert free_reduce(step_word("Xx")).letters == ""
     assert free_reduce(step_word("ZYZzyX")).letters == "ZX"
