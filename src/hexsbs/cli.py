@@ -155,10 +155,11 @@ def cmd_probe_stones(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.census:
-        _emit(identity_word_census(args.max_length).to_json())
-        return 0
+    # built first, so that --census checks both options too
     cfg = SearchConfig(args.max_length, args.partitions)
+    if args.census:
+        _emit(identity_word_census(cfg.max_word_length).to_json())
+        return 0
     records = enumerate_identity_words(cfg)
     for record in records:
         sys.stdout.write(record.jsonl() + "\n")
@@ -294,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-length", type=int, default=10)
     p.add_argument("--partitions", type=int, default=1, help=_PARTITIONS_HELP)
     p.add_argument("--census", action="store_true",
-                   help="meet-in-the-middle word census instead of JSONL")
+                   help="per-length identity-word counts from one "
+                   "transfer pass over the step group, instead of JSONL")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("reduce", help="enumerate then reduce relations")

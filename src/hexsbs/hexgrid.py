@@ -249,26 +249,17 @@ class BoundaryWord:
         return {"start": list(self.start), "word": self.word.letters}
 
 
-def region_boundary_word(region: Region,
-                         start_choice: tuple | None = None) -> BoundaryWord:
+def region_boundary_word(region: Region) -> BoundaryWord:
     """Extract the CCW boundary as a step word.
 
     The walk starts at the lexicographically least boundary edge, keyed by
-    (cell, edge index), unless `start_choice` picks another boundary edge;
-    either way the walk is aligned to begin at a shaded vertex before step
-    letters are read off, and the written word is the reversed walk.
+    (cell, edge index); it is aligned to begin at a shaded vertex before
+    step letters are read off, and the written word is the reversed walk.
     """
     cells = region.cells
     if not cells:
         raise RegionError("empty region has no boundary word")
     cell, k, letters = region.walk or _boundary_walk(cells)
-    if start_choice is not None:
-        cell, k = start_choice
-        if type(k) is not int or not 0 <= k < 6:
-            raise RegionError(f"edge index {k!r} is not an integer in 0..5")
-        if cell not in cells or list(neighbors(cell))[k] in cells:
-            raise RegionError(f"({cell}, {k}) is not a boundary edge")
-        letters = _walk_from(cells, cell, k)
     x, y = cell_vertices_plane(cell)[k]
     if x % 3 != 1:  # align to a shaded tail
         dx, dy = _EDGE_DELTAS[letters[0]]

@@ -76,9 +76,6 @@ class Placement:
         aq, ar = self.anchor
         return frozenset((q + aq, r + ar) for q, r in self.shape.cells)
 
-    def sort_key(self):
-        return (self.shape.index, self.anchor)
-
     def to_json(self) -> dict:
         return {"kind": self.shape.kind, "orientation": self.shape.orientation,
                 "anchor": list(self.anchor)}

@@ -90,14 +90,11 @@ def free_reduce(w: Word) -> Word:
     return Word(w.alphabet, "".join(out))
 
 
-def is_freely_reduced(w: Word) -> bool:
-    return free_reduce(w).letters == w.letters
-
-
 def is_cyclically_reduced(w: Word) -> bool:
     table = STEP_INVERT if w.alphabet == "step" else _EDGE_INVERT
     s = w.letters
-    return is_freely_reduced(w) and not (s and s[0] == s[-1].translate(table))
+    return (free_reduce(w).letters == s
+            and not (s and s[0] == s[-1].translate(table)))
 
 
 def invert_word(w: Word) -> Word:
@@ -199,8 +196,9 @@ EDGE_MATRICES: dict[str, Mat2] = {
 
 @dataclass(frozen=True)
 class StepGroup:
-    """The group generated by the step matrices, as tables over element
-    indices.
+    """The group generated by the step matrices, as one transition row per
+    letter over element indices.  A product elements[i] * elements[j] is
+    the walk from i along the letters of shortest[j].
 
     Element 0 is the identity.  Elements are numbered in the breadth-first
     order in which right-multiplication by the letters XYZxyz first
@@ -212,8 +210,6 @@ class StepGroup:
     step: dict  # letter -> row: step[ch][i] = index of elements[i] * M(ch)
     pm: tuple  # PMClass of each element
     shortest: tuple  # shortest word of each element
-    mul: tuple  # mul[i][j] = index of elements[i] * elements[j]
-    inv: tuple  # inv[i] = index of the inverse of elements[i]
 
 
 def _build_step_group() -> StepGroup:
@@ -221,7 +217,6 @@ def _build_step_group() -> StepGroup:
     elements = [IDENTITY]
     index = {IDENTITY: 0}
     shortest = [""]
-    parent = [0]
     rows = {ch: [] for ch in STEP_LETTERS}
     i = 0
     while i < len(elements):
@@ -231,22 +226,12 @@ def _build_step_group() -> StepGroup:
             if j == len(elements):
                 elements.append(m)
                 shortest.append(shortest[i] + ch)
-                parent.append(i)
             rows[ch].append(j)
         i += 1
-    step = {ch: tuple(row) for ch, row in rows.items()}
-    # elements[i] * elements[j] walks on from elements[i] * elements[parent[j]]
-    # by the last letter of shortest[j]
-    mul = []
-    for i in range(len(elements)):
-        row = [i]
-        for j in range(1, len(elements)):
-            row.append(step[shortest[j][-1]][row[parent[j]]])
-        mul.append(tuple(row))
-    return StepGroup(tuple(elements), step,
+    return StepGroup(tuple(elements),
+                     {ch: tuple(row) for ch, row in rows.items()},
                      tuple(classify_pm(m) for m in elements),
-                     tuple(shortest), tuple(mul),
-                     tuple(row.index(0) for row in mul))
+                     tuple(shortest))
 
 
 STEP_GROUP = _build_step_group()

@@ -279,9 +279,9 @@ def test_criterion_9_recorded_findings():
     t0 = time.monotonic()
     notes = []
 
-    # full-length census through the meet-in-the-middle machinery,
-    # deterministic across runs (the in-run MITM/direct cross-check is
-    # asserted inside identity_word_census)
+    # full-length census from one transfer pass, deterministic across
+    # runs (its counts are checked against the per-length Mat2 recount
+    # and a brute force in test_search.py)
     census_a = identity_word_census(16)
     census_b = identity_word_census(16)
     census_ok = census_a == census_b

@@ -356,6 +356,15 @@ def test_negative_numeric_option_exits_2(capsys, argv, option):
     assert option in err
 
 
+@pytest.mark.parametrize("partitions", ["0", "-1"])
+def test_census_rejects_bad_partitions(capsys, partitions):
+    code, out, err = invoke(capsys, "enumerate", "--census",
+                            "--max-length", "8", "--partitions", partitions)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "partitions" in err
+
+
 BONE_STEP = {"action": "add", "kind": "bone", "orientation": "left",
              "anchor": [0, 0]}
 
@@ -641,6 +650,16 @@ GOLDEN_STDOUT = {
         "bceb85ffc99428a7f59f69e7d8996df4bd7f519bfd7badb8b413efcec1f68df6",
     ("enumerate --census --max-length 12", ""):
         "cfebd2c6e7c71af75d17d45d0e734c8d59ece993c1352f5fcd849633d9995edb",
+    ("enumerate --census --max-length 16", ""):
+        "96278a8c427a2fdc2dc0a1c7a090cc9d892ef8f97c479d83475ba106016c8279",
+    ("enumerate --census --max-length 2", ""):
+        "b74ad5617352718df643af2932ae4f12d975eb87a6ac9aecb0ccd547a0e89410",
+    ("enumerate --census --max-length 3", ""):
+        "d6a708e172d4edc5d80bab4b276de79a7b9b5f25a5e0c8cd910f48253d8dbaf8",
+    ("enumerate --census --max-length 30", ""):
+        "4e3d5900a8d0f843714b2c06fd6eaa3c00ebcd4d45af44620138997789a612b2",
+    ("enumerate --census --max-length 45", ""):
+        "c25e707a3e2f6741011bcf59e6e1e947a58bc7aa45a67056b2ec037163a88be5",
     ("enumerate --max-length 6", ""):
         "72f641e890e77bebd210ff80d0787ab518dc026ecf783de27896a220f8efdff3",
     ("group-probe", ""):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hexsbs.fixtures import (BARBELL_CELLS, BARBELL_WORD, HEX7_CELLS,
                              HEX7_WORD, RING6_CELLS, TILE_WORDS)
 from hexsbs.hexgrid import (STEP_DISPLACEMENTS, STEP_EDGE_DELTAS, Region,
-                            RegionError, cell_center_plane,
+                            RegionError, _walk_from, cell_center_plane,
                             grow_random_region, is_closed, is_edge_connected,
                             lattice_to_plane, neighbors, path_endpoint,
                             plane_to_lattice, region_boundary_word,
@@ -235,23 +235,22 @@ def test_boundary_word_tiles():
         assert bw.word.letters in closure(step_word(letters)).members, name
 
 
-def test_boundary_word_start_choice():
-    region = region_validate(HEX7_CELLS)
-    default = region_boundary_word(region)
-    other = region_boundary_word(region, start_choice=((0, 0), 0))
-    cls = closure(default.word).members
-    assert other.word.letters in cls
-    doubled = default.word.letters * 2
-    assert other.word.letters in doubled  # cyclic permutation
-    with pytest.raises(RegionError):
-        region_boundary_word(region, start_choice=((-1, 0), 0))  # interior
-    with pytest.raises(RegionError):
-        region_boundary_word(region, start_choice=((5, 5), 0))  # outside
-    # (0, 0) is a boundary cell, as `other` shows: only k is at fault; -1
-    # used to walk forever and 6 to raise IndexError
-    for k in (-1, 6, 7, 1.0, True, "0", None):
-        with pytest.raises(RegionError, match="edge index"):
-            region_boundary_word(region, start_choice=((0, 0), k))
+def test_boundary_walk_is_the_same_cycle_from_every_start():
+    # the kept walk starts at the least boundary edge; a walk from any
+    # other boundary edge is a rotation of it, so the start picks no word
+    rng = random.Random(11)
+    regions = [HEX7_CELLS] + [grow_random_region(rng, n).cells
+                              for n in (1, 2, 5, 12, 30)]
+    for cells in regions:
+        region = region_validate(cells)
+        kept = region.walk[2]
+        starts = [(cell, k) for cell in region.cells
+                  for k, n in enumerate(neighbors(cell))
+                  if n not in region.cells]
+        assert len(starts) == len(kept)
+        for cell, k in starts:
+            walk = _walk_from(region.cells, cell, k)
+            assert len(walk) == len(kept) and walk in kept + kept
 
 
 def test_closure_members_of_closed_word_are_closed():

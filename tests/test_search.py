@@ -196,17 +196,19 @@ def test_group_probe_full_group():
 
 
 def test_step_group_element_orders_match_group_probe():
-    mul = STEP_GROUP.mul
+    # p * elements[i] is p walked along the letters of shortest[i]
+    step = STEP_GROUP.step
     orders = {}
-    for i in range(len(mul)):
+    for i, word in enumerate(STEP_GROUP.shortest):
         n, p = 1, i
         while p != 0:
-            p = mul[p][i]
+            for ch in word:
+                p = step[ch][p]
             n += 1
         orders[n] = orders.get(n, 0) + 1
     probe = group_closure_probe(
         [STEP_MATRICES[ch] for ch in "XYZ"], bound=10 ** 6)
-    assert len(mul) == probe.order == 24
+    assert len(STEP_GROUP.elements) == probe.order == 24
     assert orders == dict(probe.element_orders) == \
         {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}
 

@@ -117,7 +117,7 @@ def test_enumerate_placements():
     a = enumerate_placements(window7)
     b = enumerate_placements(window7)
     assert a == b
-    keys = [p.sort_key() for p in a]
+    keys = [(p.shape.index, p.anchor) for p in a]
     assert keys == sorted(keys)
 
 
