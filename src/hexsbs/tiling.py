@@ -13,7 +13,7 @@ it is answered from its boundary word alone, before any placement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import islice
 
 from . import fixtures
@@ -31,6 +31,7 @@ class TileShape:
     orientation: str
     index: int  # position in catalog order
     cells: frozenset  # cell offsets enclosed by boundary_word at the origin
+    offsets: tuple  # the same offsets, sorted; (0, 0) is one of them
     boundary_word: Word
 
     @property
@@ -47,7 +48,9 @@ def _build_catalog() -> tuple:
         cells = left_cells(word)
         walked = region_boundary_word(region_validate(cells)).word.letters
         assert len(walked) == len(letters) and walked in letters * 2, name
-        shapes.append(TileShape(kind, orientation, i, cells, word))
+        assert (0, 0) in cells and len(cells) in (3, 4), name
+        shapes.append(TileShape(kind, orientation, i, cells,
+                                tuple(sorted(cells)), word))
     return tuple(shapes)
 
 
@@ -109,16 +112,31 @@ def pad_window(cells, padding: int) -> frozenset:
 
 def enumerate_placements(window, kinds=KINDS) -> list:
     """All placements of the selected kinds lying entirely inside the
-    window, in deterministic (catalog, anchor) order."""
+    window, in deterministic (catalog, anchor) order.
+
+    Every shape holds the offset (0, 0), so every anchor is a window
+    cell: one pass over the sorted window per shape keeps each cell that
+    puts the shape's other offsets on the window too.  The 3- and 4-cell
+    tests are written out: a generic all() over the offsets took more
+    than twice as long.
+    """
     window = frozenset(window)
+    order = sorted(window)
     out = []
     for shape in _CATALOG:
         if shape.kind not in kinds:
             continue
-        # an anchor fits when it puts every cell offset on the window
-        anchors = set.intersection(*({(wq - oq, wr - orr) for wq, wr in window}
-                                     for oq, orr in shape.cells))
-        out.extend(Placement(shape, a) for a in sorted(anchors))
+        (aq, ar), (bq, br), *rest = [o for o in shape.offsets if o != (0, 0)]
+        if rest:
+            (cq, cr), = rest
+            out.extend(Placement(shape, (q, r)) for q, r in order
+                       if (q + aq, r + ar) in window
+                       and (q + bq, r + br) in window
+                       and (q + cq, r + cr) in window)
+        else:
+            out.extend(Placement(shape, (q, r)) for q, r in order
+                       if (q + aq, r + ar) in window
+                       and (q + bq, r + br) in window)
     return out
 
 
@@ -168,6 +186,16 @@ def signed_tiling_verify(region: Region, tiling: SignedTiling):
     return None
 
 
+def _tile_indices(placements, index: dict) -> list:
+    """Each placement's cells as their numbers in `index`, read from the
+    anchor plus the shape's offsets, in offset order."""
+    out = []
+    for p in placements:
+        aq, ar = p.anchor
+        out.append([index[q + aq, r + ar] for q, r in p.shape.offsets])
+    return out
+
+
 def _subtract(row: dict, q: int, base: dict) -> None:
     """row -= q * base for sparse integer rows, dropping the zeros made."""
     for k, b in base.items():
@@ -182,13 +210,15 @@ class IntegerLattice:
     """Row lattice of placement indicator vectors, in Hermite normal form.
 
     Each placement is one sparse row over the window cells, keyed 0..m-1
-    in sorted cell order.  The rows are reduced by integer row operations
-    (subtract a multiple of one row from another, swap two rows, negate
-    a row), and each operation is appended to one flat log instead of
-    being applied to a transform.  Targets are integer vectors over the
-    window cells; membership comes from forward substitution along the
-    HNF rows, and a particular solution from replaying the log backwards
-    on the pivot coefficients.  Exact big-integer arithmetic throughout.
+    in sorted cell order and read from its anchor plus its shape's
+    offsets, with no cell set built.  The rows are reduced by integer row
+    operations (subtract a multiple of one row from another, swap two
+    rows, negate a row), and each operation is appended to one flat log
+    instead of being applied to a transform.  Targets are integer vectors
+    over the window cells; membership comes from forward substitution
+    along the HNF rows, and a particular solution from replaying the log
+    backwards on the pivot coefficients.  Exact big-integer arithmetic
+    throughout.
     """
 
     def __init__(self, placements, window):
@@ -196,8 +226,8 @@ class IntegerLattice:
         self.cells = sorted(window)
         self._cell_index = {c: i for i, c in enumerate(self.cells)}
         n, m = len(self.placements), len(self.cells)
-        rows = [{self._cell_index[c]: 1 for c in p.cells()}
-                for p in self.placements]
+        rows = [dict.fromkeys(t, 1)
+                for t in _tile_indices(self.placements, self._cell_index)]
         # (i, q, b): row i -= q * row b; (piv, src): swap; (piv,): negate
         log = []
         pivots = []
@@ -329,14 +359,17 @@ def _exact_covers(cells, placements):
     The counts are kept as in Knuth's dancing links: `dead[p]` is the
     number of covered cells of placement p, and `live[c]` the number of
     candidates of cell c with no covered cell.  Taking or returning a
-    tile updates only the placements that meet it, and a heap of
-    (live, cell) entries, stale ones skipped, gives the choice; so a step
-    costs the same however large the region is.
+    tile updates only the placements that meet it, so a step costs the
+    same however large the region is.  The choice comes from a heap in
+    which an entry (l, c) is a lower bound, live[c] >= l; the least entry
+    of each uncovered cell is one.  A count that falls is pushed, one
+    that rises needs no push, and a returned tile pushes its own cells.
+    An entry on top whose bound is below the count is replaced by the
+    count, so the top, once current, is the least (live, cell) of all.
     """
     order = sorted(cells)
-    index = {c: i for i, c in enumerate(order)}
     n = len(order)
-    tiles = [[index[c] for c in p.cells()] for p in placements]
+    tiles = _tile_indices(placements, {c: i for i, c in enumerate(order)})
     cands = [[] for _ in range(n)]  # cell -> placements, in their order
     for i, t in enumerate(tiles):
         for c in t:
@@ -353,9 +386,14 @@ def _exact_covers(cells, placements):
             if len(heap) > 2 * n:  # drop the stale entries in one pass
                 heap = [(live[c], c) for c in range(n) if not covered[c]]
                 heapify(heap)
-            while covered[heap[0][1]] or live[heap[0][1]] != heap[0][0]:
-                heappop(heap)
-            cell = heap[0][1]
+            while True:
+                low, cell = heap[0]
+                if covered[cell]:
+                    heappop(heap)
+                elif live[cell] != low:
+                    heapreplace(heap, (live[cell], cell))
+                else:
+                    break
             levels.append(p for p in cands[cell] if not dead[p])
         else:
             yield [placements[i] for i in chosen]
@@ -371,8 +409,8 @@ def _exact_covers(cells, placements):
                         if not dead[p]:
                             for d in tiles[p]:
                                 live[d] += 1
-                                if not covered[d]:
-                                    heappush(heap, (live[d], d))
+                for c in tile:
+                    heappush(heap, (live[c], c))
             nxt = next(levels[-1], None)
             if nxt is not None:
                 chosen.append(nxt)

@@ -152,6 +152,36 @@ def test_enumerate_placements_matches_anchor_scan():
                     (sorted(region.cells), padding, kinds)
 
 
+@settings(max_examples=200, deadline=None)
+@given(cells=st.sets(st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+                     max_size=40),
+       shift=st.sampled_from([(0, 0), (-7, -3), (2 ** 64 + 5, -2 ** 70),
+                              (-2 ** 65, 2 ** 64)]),
+       kinds=st.sampled_from([KINDS, ("bone",), ("bone", "snake"),
+                              ("stone",)]))
+@example(cells={(0, 0)}, shift=(0, 0), kinds=KINDS)  # a single cell
+@example(cells=set(HEX7_CELLS) - {(0, 0)}, shift=(0, 0),
+         kinds=KINDS)  # a hole
+@example(cells={(0, 0), (0, 1), (0, 2), (5, 5), (5, 4), (4, 5)},
+         shift=(2 ** 64, 2 ** 64), kinds=KINDS)  # two pieces
+def test_enumerate_placements_matches_anchor_scan_on_any_cells(cells, shift,
+                                                               kinds):
+    # any cell set: holes, several pieces, single cells, large coordinates
+    sq, sr = shift
+    window = {(q + sq, r + sr) for q, r in cells}
+    assert enumerate_placements(window, kinds) == \
+        anchor_scan_placements(window, kinds)
+
+
+def test_catalog_offsets_are_the_sorted_cells():
+    for shape in tile_catalog():
+        assert len(shape.cells) in (3, 4) and (0, 0) in shape.cells
+        assert shape.offsets == tuple(sorted(shape.cells)), shape.name
+        for aq, ar in ((0, 0), (-4, 7), (2 ** 64 + 1, -2 ** 66)):
+            assert Placement(shape, (aq, ar)).cells() == \
+                {(q + aq, r + ar) for q, r in shape.offsets}
+
+
 def test_integer_lattice_solves_combinations():
     rng = random.Random(31)
     window = pad_window(HEX7_CELLS, 1)
@@ -460,6 +490,36 @@ def test_exact_cover_sequence_matches_rescan_oracle(seed, built, kinds, cap):
     assert got == want
 
 
+def test_exact_cover_sequence_matches_rescan_oracle_when_backtracking():
+    # every cover in order, through many returned tiles: parallelograms
+    # (4 x 5 is Other, so the ungated search backtracks to no cover) and
+    # -I tile-built regions, which need their stones
+    def parallelogram(w, h):
+        return region_validate([(q, r) for q in range(w) for r in range(h)])
+
+    cases = [(parallelogram(w, h), cap) for w, h in ((3, 4), (4, 5))
+             for cap in (None, 2000)]
+    cases += [(parallelogram(4, 6), None), (parallelogram(5, 6), 2000)]
+    rng = random.Random(59)
+    minus = []
+    while len(minus) < 8:
+        region = tile_built_region(rng, rng.randrange(5, 9))
+        if boundary_obstruction_check(region) is PMClass.MINUS_IDENTITY:
+            minus.append(region)
+    cases += [(region, None) for region in minus]
+    covers = []
+    for region, cap in cases:
+        placements = enumerate_placements(region.cells)
+        stop = None if cap is None else cap + 1
+        got = list(islice(_exact_covers(region.cells, placements), stop))
+        want = list(islice(rescan_exact_covers(region.cells, placements),
+                           stop))
+        assert got == want, sorted(region.cells)
+        covers.append(len(got))
+    assert covers[:6] == [17, 17, 0, 0, 544, 2001]
+    assert all(n > 0 for n in covers[6:])
+
+
 @pytest.mark.parametrize("length, tiles", [(6000, 2000), (3001, None)])
 def test_exact_cover_linear_on_long_bars(length, tiles):
     # the rescanning search is quadratic: 3.1 s on a 1000-bone bar (2 cores)
@@ -558,6 +618,13 @@ def test_exact_cover_gate_answers_before_any_placement(monkeypatch):
         for cap in (0, 10 ** 6):
             assert standard_tiling_solve(region, kinds, "count", cap) == \
                 TilingCount(0, False)
+    # positive control: a region the gate passes reaches the patched name
+    bone = region_validate(tile_shape("bone", "vertical").cells)
+    for region, kinds in ((bone, ("bone",)), (stone, KINDS)):
+        with pytest.raises(AssertionError, match="placements enumerated"):
+            standard_tiling_solve(region, kinds)
+        with pytest.raises(AssertionError, match="placements enumerated"):
+            standard_tiling_solve(region, kinds, "count", 10)
 
 
 def test_boundary_obstruction():
@@ -803,11 +870,15 @@ def test_other_regions_have_no_signed_tiling_in_any_window(seed, size):
 
 
 def test_other_region_is_answered_before_any_placement(monkeypatch):
-    def no_placements(*args, **kwargs):
-        raise AssertionError("placements enumerated for an Other region")
+    def spy(name):
+        def called(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return called
 
-    monkeypatch.setattr("hexsbs.tiling.enumerate_placements", no_placements)
-    monkeypatch.setattr("hexsbs.tiling.pad_window", no_placements)
+    real_pad_window = pad_window
+    monkeypatch.setattr("hexsbs.tiling.enumerate_placements",
+                        spy("enumerate_placements"))
+    monkeypatch.setattr("hexsbs.tiling.pad_window", spy("pad_window"))
     side6 = region_validate([(q, r) for q in range(-5, 6)
                              for r in range(-5, 6) if abs(q + r) <= 5])
     for region in (load_region(str(FIXTURES / "single_cell.json")), side6):
@@ -818,6 +889,19 @@ def test_other_region_is_answered_before_any_placement(monkeypatch):
                                        padding) is None
             assert min_stone_probe(region, padding) == \
                 StoneProbe(None, PMClass.OTHER, None)
+    # positive control: a +I region reaches both patched names
+    bone = region_validate(tile_shape("bone", "vertical").cells)
+    assert boundary_obstruction_check(bone) is PMClass.PLUS_IDENTITY
+    for solve in (signed_tiling_solve, min_stone_probe):
+        with pytest.raises(AssertionError, match="pad_window called"):
+            solve(bone)
+    monkeypatch.setattr("hexsbs.tiling.pad_window", real_pad_window)
+    for solve in (signed_tiling_solve, min_stone_probe):
+        with pytest.raises(AssertionError,
+                           match="enumerate_placements called"):
+            solve(bone)
+    with pytest.raises(AssertionError, match="enumerate_placements called"):
+        solve_cell_target({c: 1 for c in bone.cells}, window=bone.cells)
 
 
 @pytest.mark.parametrize("value", [1.5, 1.0, True, False, "1", None])
