@@ -315,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("endpoints", help="endpoint lattice of identity words")
     p.add_argument("--max-length", type=int, default=8)
-    p.add_argument("--sign", choices=["+I", "-I", "both"], default="both")
+    p.add_argument("--sign", choices=["+I", "-I", "both"], default="both",
+                   help="the values to keep; write -I as --sign=-I, since "
+                        "argparse reads a separate -I as an option")
     p.set_defaults(func=cmd_endpoints)
 
     p = sub.add_parser("render", help="render region/tiling/path as SVG")

@@ -6,14 +6,18 @@ since every class has a member that does (rotate or invert until an
 uppercase X exists, then shift it to the front).  So the search grows the
 words "X" + w a letter at a time, only along the prefixes a least member
 can have, and records a word that evaluates to +-I when no member of its
-class sorts before it.  No closure set is built; the tests check the
-output against the former closure-set enumeration and a naive oracle.
+class sorts before it.  Once a prefix has left its leading run of X, no
+letter's run may grow longer than that run: some variant maps the letter
+to X, and so has a member that sorts first.  No closure set is built; the
+tests check the output against the former closure-set and unpruned
+prenecklace enumerations and a naive oracle.
 
 Words are evaluated on the table of the group the step matrices generate,
 words.STEP_GROUP (SL(2,3), order 24, built once at import): the search
-steps a word by one lookup per letter, and the census and the endpoint
-lattice grow one frontier of words per length, keyed by group element and
-last letter, rather than visiting the words one by one.
+steps a word by one lookup per letter.  The census grows one flat list of
+counts per length over (group element, last letter), and the endpoint
+lattice one set of (group element, endpoint) over all words, rather than
+visiting the words one by one.
 """
 
 from __future__ import annotations
@@ -75,24 +79,36 @@ def _enumerate_partition(first_letters: str, max_word_length: int) -> list:
                for state in range(len(pm))]
     found = []
 
-    def visit(u: str, state: int, letters, period: int):
+    def visit(u: str, state: int, letters, period: int, lead: int,
+              run: int):
         # u = "X" + w, state is the value of w and period the length of the
         # longest Lyndon prefix of u.  The least member of a class is a
         # necklace, so only prenecklaces are grown, and u + ch is one iff
-        # ch >= floor (Ruskey-Savage-Wang).  The children that close are
-        # kept, and only those with children of their own are grown: the
-        # last level makes no call.
-        floor = u[len(u) - period]
+        # ch >= floor (Ruskey-Savage-Wang); it is a necklace iff also
+        # ch > floor or period divides its length.  lead is the leading
+        # run of X in u and run the run of its last letter.  Once the lead
+        # has ended, no letter's run may outgrow it: each letter is X in
+        # one of the six variants, so a longer run gives a member that
+        # starts with more X and sorts first.  The children that close
+        # are kept, and only those with children of their own are grown:
+        # the last level makes no call.
+        n, last = len(u), u[-1]
+        floor = u[n - period]
+        capped = last if lead < n and run == lead else ""
         for ch, k in closers[state]:
-            if ch in letters and ch >= floor and is_least_member(u + ch):
+            if (ch in letters and ch >= floor and ch != capped
+                    and (ch != floor or (n + 1) % period == 0)
+                    and is_least_member(u + ch)):
                 found.append((u + ch, k))
-        if len(u) + 2 <= max_word_length:
+        if n + 2 <= max_word_length:
             for ch in letters:
-                if ch >= floor:
+                if ch >= floor and ch != capped:
                     visit(u + ch, step[ch][state], _FOLLOWERS[ch],
-                          period if ch == floor else len(u) + 1)
+                          period if ch == floor else n + 1,
+                          lead + 1 if lead == n and ch == "X" else lead,
+                          run + 1 if ch == last else 1)
 
-    visit("X", 0, first_letters, 1)
+    visit("X", 0, first_letters, 1, 1, 1)
     return found
 
 
@@ -243,8 +259,10 @@ def group_closure_probe(generators, bound: int = 10 ** 6) -> GroupProbeResult:
 def identity_endpoint_lattice(max_length: int, sign: str = "both") -> list:
     """Endpoints (relative to the origin) of every word of length up to
     max_length whose value matches the sign filter ("+I", "-I", "both").
-    One frontier per length, the reduced words by ((element, endpoint),
-    last letter) grown by _extend, keeps the cost polynomial in length."""
+    One set of (element, u, v) grows by a letter per length, over all
+    words: a word ends where its free reduction does, with the same value,
+    and the reduction is no longer, so the reduced words reach the same
+    set.  Its size is polynomial in the length."""
     if sign not in ("+I", "-I", "both"):
         raise ValueError(f"bad sign filter {sign!r}")
     if max_length < 0:
@@ -252,20 +270,15 @@ def identity_endpoint_lattice(max_length: int, sign: str = "both") -> list:
     wanted = {"+I": {PMClass.PLUS_IDENTITY},
               "-I": {PMClass.MINUS_IDENTITY},
               "both": {PMClass.PLUS_IDENTITY, PMClass.MINUS_IDENTITY}}[sign]
-    step, pm = STEP_GROUP.step, STEP_GROUP.pm
-
-    def move(key, ch):
-        state, (u, v) = key
-        du, dv = STEP_DISPLACEMENTS[ch]
-        return step[ch][state], (u + du, v + dv)
-
-    out = {(0, 0)} if pm[0] in wanted else set()
-    frontier = {(move((0, (0, 0)), ch), ch): 1 for ch in STEP_LETTERS}
-    for n in range(max_length):
-        if n:
-            frontier = _extend(frontier, move)
-        out.update(p for (s, p), _ in frontier if pm[s] in wanted)
-    return sorted(out)
+    pm = STEP_GROUP.pm
+    moves = [(STEP_GROUP.step[ch], du, dv)
+             for ch, (du, dv) in STEP_DISPLACEMENTS.items()]
+    seen = frontier = {(0, 0, 0)}
+    for _ in range(max_length):
+        frontier = {(row[s], u + du, v + dv) for s, u, v in frontier
+                    for row, du, dv in moves} - seen
+        seen |= frontier
+    return sorted({(u, v) for s, u, v in seen if pm[s] in wanted})
 
 
 # --- word census ------------------------------------------------------------
@@ -292,45 +305,43 @@ class CensusReport:
         }
 
 
-def _extend(counts: dict, move) -> dict:
-    """Grow each counted reduced word by one letter at its end.
-
-    Keys are (group element, last letter); move(element, letter) gives
-    the element of the grown word."""
-    out = {}
-    for (state, end), count in counts.items():
-        for ch in _FOLLOWERS[end]:
-            key = (move(state, ch), ch)
-            out[key] = out.get(key, 0) + count
-    return out
-
-
 def identity_word_census(max_length: int = 16) -> CensusReport:
     """Count the identity words of each total length up to max_length.
 
     The words are w + "X" with w reduced, neither starting nor ending in
     "x".  One transfer-matrix pass grows the prefixes w a letter at a
-    time, keyed by (element, last letter), and counts at every length the
-    prefixes that X takes to +-I.  Only the current frontier is kept.  The
-    tests compare the counts with a per-length Mat2 recount and a brute
-    force, and the benchmark recomputes them from its own group.
+    time, as a flat list of counts over the 144 indices
+    6 * element + letter of their value and last letter, and counts at
+    every length the prefixes that X takes to +-I.  Only the current
+    frontier is kept.  The tests compare the counts with a per-length
+    Mat2 recount and a brute force, and the benchmark recomputes them
+    from its own group.
     """
     if max_length < 2:
         raise ValueError("max_length must be >= 2")
     step, pm = STEP_GROUP.step, STEP_GROUP.pm
+    index = {ch: i for i, ch in enumerate(STEP_LETTERS)}
+    # sources[6 * element + letter]: the five indices that one more letter
+    # takes to it, whose own last letters may stand before that letter
+    back = [(step[ch.translate(STEP_INVERT)],
+             [index[last] for last in _FOLLOWERS[ch]]) for ch in STEP_LETTERS]
+    sources = [[6 * row[state] + i for i in lasts]
+               for state in range(len(pm)) for row, lasts in back]
+    # the indices, not ending in x, that X takes to +I and to -I
     to_x = step["X"]
-    signs = (PMClass.PLUS_IDENTITY, PMClass.MINUS_IDENTITY)
-    prefixes = {(step[ch][0], ch): 1 for ch in START_LETTERS}
+    ends = [[6 * state + index[last] for state in range(len(pm))
+             if pm[to_x[state]] is k for last in START_LETTERS]
+            for k in (PMClass.PLUS_IDENTITY, PMClass.MINUS_IDENTITY)]
+    prefixes = [0] * len(sources)
+    for ch in START_LETTERS:
+        prefixes[6 * step[ch][0] + index[ch]] = 1
     counts = []
     for n in range(1, max_length):  # prefix length; total n + 1
         if n > 1:
-            prefixes = _extend(prefixes, lambda s, ch: step[ch][s])
-        found = dict.fromkeys(signs, 0)
-        for (state, last), count in prefixes.items():
-            k = pm[to_x[state]]
-            if last != "x" and k is not PMClass.OTHER:
-                found[k] += count
-        counts.append((n + 1, found[signs[0]], found[signs[1]]))
+            prefixes = [prefixes[a] + prefixes[b] + prefixes[c] + prefixes[d]
+                        + prefixes[e] for a, b, c, d, e in sources]
+        counts.append((n + 1, *(sum(prefixes[i] for i in end)
+                                for end in ends)))
 
     shortest = sorted(zip(STEP_GROUP.shortest, pm),
                       key=lambda p: (len(p[0]), p[0]))

@@ -4,15 +4,16 @@ Everything here recomputes results along a different route than the
 package: numeric evaluation through a complex embedding of the ring,
 word evaluation and word scans by plain Mat2 products (no group table),
 the census's former per-length count over lazily interned matrices, the
-former closure-set enumeration and dict-of-substrings relation reducer,
+former closure-set and unpruned prenecklace enumerations and
+dict-of-substrings relation reducer,
 the former bounding-box flood for holes, the former per-index region
 validation, winding numbers by ray crossings,
 the former per-step boundary walk of the sequence check, tiling counts
 by raw subset search,
 the former anchor-scan placement enumeration, the former recursive and
-rescanning exact covers, dense-transform lattice and word-by-word
-endpoint walk, and group orders from a presentation alone by coset
-enumeration (no matrices at all).
+rescanning exact covers, dense-transform lattice, word-by-word
+endpoint walk and reduced-word endpoint frontier, and group orders
+from a presentation alone by coset enumeration (no matrices at all).
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from hexsbs.cyclo import (IDENTITY, MINUS_IDENTITY, CycInt, Mat2, PMClass,
 from hexsbs.hexgrid import (STEP_DISPLACEMENTS, LatticePoint, Region,
                             RegionError, _boundary_walk, is_closed,
                             lattice_to_plane, neighbors)
-from hexsbs.search import RelationRecord, Reduction
+from hexsbs.search import (_FOLLOWERS, START_LETTERS, RelationRecord,
+                           Reduction)
 from hexsbs.tiling import (KINDS, Placement, SequenceReport, StepRecord,
                            TilingCount, boundary_obstruction_check,
                            enumerate_placements, tile_catalog)
-from hexsbs.words import (STEP_GROUP, STEP_MATRICES, Word, WordError,
-                          eval_word, step_word)
+from hexsbs.words import (STEP_GROUP, STEP_LETTERS, STEP_MATRICES, Word,
+                          WordError, eval_word, is_least_member, step_word)
 
 OMEGA_C = cmath.exp(1j * cmath.pi / 6)  # primitive 12th root of unity
 
@@ -119,6 +121,53 @@ def closure_set_identity_words(max_word_length: int) -> list:
         visit(ch, step[ch][0])
     records = [RelationRecord(rep, k, len(rep), is_closed(step_word(rep)))
                for rep, k in found.items()]
+    return sorted(records, key=lambda r: (r.length, r.representative))
+
+
+def unpruned_prenecklace_partition(first_letters: str,
+                                   max_word_length: int) -> list:
+    """The former search partition, verbatim: every prenecklace "X" + w
+    is grown and every closing one goes to is_least_member, with no cap
+    on letter runs and no test that it is a necklace."""
+    step, pm = STEP_GROUP.step, STEP_GROUP.pm
+    # closers[state]: the letters ch, not x, with state * ch * X = +-I,
+    # and that value, which "X" + w + ch shares with its shift w + ch + "X"
+    closers = [tuple((ch, k) for ch in START_LETTERS
+                     for k in (pm[step["X"][step[ch][state]]],)
+                     if k is not PMClass.OTHER)
+               for state in range(len(pm))]
+    found = []
+
+    def visit(u: str, state: int, letters, period: int):
+        # u = "X" + w, state is the value of w and period the length of the
+        # longest Lyndon prefix of u.  The least member of a class is a
+        # necklace, so only prenecklaces are grown, and u + ch is one iff
+        # ch >= floor (Ruskey-Savage-Wang).  The children that close are
+        # kept, and only those with children of their own are grown: the
+        # last level makes no call.
+        floor = u[len(u) - period]
+        for ch, k in closers[state]:
+            if ch in letters and ch >= floor and is_least_member(u + ch):
+                found.append((u + ch, k))
+        if len(u) + 2 <= max_word_length:
+            for ch in letters:
+                if ch >= floor:
+                    visit(u + ch, step[ch][state], _FOLLOWERS[ch],
+                          period if ch == floor else len(u) + 1)
+
+    visit("X", 0, first_letters, 1)
+    return found
+
+
+def prenecklace_identity_words(max_word_length: int,
+                               partitions: int = 1) -> list:
+    """enumerate_identity_words on the former, unpruned partition."""
+    groups = [START_LETTERS[i::partitions]
+              for i in range(min(partitions, len(START_LETTERS)))]
+    records = [RelationRecord(rep, value, len(rep), is_closed(step_word(rep)))
+               for group in groups
+               for rep, value in unpruned_prenecklace_partition(
+                   group, max_word_length)]
     return sorted(records, key=lambda r: (r.length, r.representative))
 
 
@@ -641,6 +690,46 @@ def endpoints_by_length(max_length: int) -> dict:
 
     visit(0, "XYZxyz", 0, 0, 0)
     return out
+
+
+def _extend(counts: dict, move) -> dict:
+    """Grow each counted reduced word by one letter at its end.
+
+    Keys are (group element, last letter); move(element, letter) gives
+    the element of the grown word."""
+    out = {}
+    for (state, end), count in counts.items():
+        for ch in _FOLLOWERS[end]:
+            key = (move(state, ch), ch)
+            out[key] = out.get(key, 0) + count
+    return out
+
+
+def reduced_endpoint_lattice(max_length: int, sign: str = "both") -> list:
+    """The former identity_endpoint_lattice, verbatim: one counted
+    frontier per length of the reduced words, keyed by ((element,
+    endpoint), last letter)."""
+    if sign not in ("+I", "-I", "both"):
+        raise ValueError(f"bad sign filter {sign!r}")
+    if max_length < 0:
+        raise ValueError("max_length must be >= 0")
+    wanted = {"+I": {PMClass.PLUS_IDENTITY},
+              "-I": {PMClass.MINUS_IDENTITY},
+              "both": {PMClass.PLUS_IDENTITY, PMClass.MINUS_IDENTITY}}[sign]
+    step, pm = STEP_GROUP.step, STEP_GROUP.pm
+
+    def move(key, ch):
+        state, (u, v) = key
+        du, dv = STEP_DISPLACEMENTS[ch]
+        return step[ch][state], (u + du, v + dv)
+
+    out = {(0, 0)} if pm[0] in wanted else set()
+    frontier = {(move((0, (0, 0)), ch), ch): 1 for ch in STEP_LETTERS}
+    for n in range(max_length):
+        if n:
+            frontier = _extend(frontier, move)
+        out.update(p for (s, p), _ in frontier if pm[s] in wanted)
+    return sorted(out)
 
 
 MAX_COSETS = 100_000  # stops an infinite or badly collapsing enumeration

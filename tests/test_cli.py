@@ -340,6 +340,18 @@ def test_endpoints(capsys):
     assert [0, 3] in json.loads(out)["points"]
 
 
+def test_endpoints_sign_help_names_the_equals_form(capsys):
+    # argparse takes the -I of "--sign -I" for an option; the help says so
+    with pytest.raises(SystemExit) as err:
+        run(["endpoints", "--sign", "-I"])
+    assert err.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        run(["endpoints", "--help"])
+    assert err.value.code == 0
+    assert "--sign=-I" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("argv, option", [
     (["solve-exact", "--in", "bone.json", "--count", "--cap", "-1"], "cap"),
     (["solve-exact", "--in", "bone.json", "--cap", "-1"], "cap"),

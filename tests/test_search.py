@@ -1,9 +1,11 @@
+import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hexsbs import search
 from hexsbs.cyclo import IDENTITY, PMClass
 from hexsbs.fixtures import CONJECTURE_MINUS, CONJECTURE_PLUS, TABLE_WORDS
 from hexsbs.search import (CensusReport, GroupProbeResult, RelationRecord,
@@ -12,11 +14,13 @@ from hexsbs.search import (CensusReport, GroupProbeResult, RelationRecord,
                            identity_word_census, reduce_relation_list,
                            verify_reduction_table)
 from hexsbs.words import (STEP_GROUP, STEP_MATRICES, canonical_representative,
-                          eval_letters)
+                          eval_letters, is_least_member)
 
-from oracles import (census_counts_by_length, closure_set_identity_words,
-                     coset_trace, count_identity_words, endpoints_by_length,
-                     naive_identity_classes, sign_presentation,
+from oracles import (INVERSE, census_counts_by_length, closure_set,
+                     closure_set_identity_words, coset_trace,
+                     count_identity_words, endpoints_by_length,
+                     naive_identity_classes, prenecklace_identity_words,
+                     reduced_endpoint_lattice, sign_presentation,
                      substring_dict_reduce, todd_coxeter)
 
 
@@ -98,6 +102,57 @@ def test_enumeration_matches_closure_set_oracle(oracle_records, max_len):
     for parts in (1, 2):
         assert enumerate_identity_words(SearchConfig(max_len, parts)) == \
             want, parts
+
+
+@pytest.fixture(scope="module")
+def unpruned_records():
+    """The former prenecklace enumeration at length 10, by partitions."""
+    return {parts: prenecklace_identity_words(10, parts) for parts in (1, 2)}
+
+
+@pytest.mark.parametrize("max_len", range(2, 11))
+def test_enumeration_matches_unpruned_prenecklace_oracle(unpruned_records,
+                                                         max_len):
+    for parts, records in unpruned_records.items():
+        want = [r for r in records if r.length <= max_len]
+        assert enumerate_identity_words(SearchConfig(max_len, parts)) == \
+            want, parts
+
+
+def test_run_rule_and_necklace_skip_spare_least_member_calls(monkeypatch):
+    # regression pin: the unpruned search calls is_least_member 4,725 times
+    # at length 8 to keep the same 882 classes
+    calls = []
+
+    def counted(letters):
+        calls.append(letters)
+        return is_least_member(letters)
+
+    monkeypatch.setattr(search, "is_least_member", counted)
+    assert len(enumerate_identity_words(SearchConfig(8))) == 882
+    assert len(calls) == 1735
+
+
+@st.composite
+def x_led_reduced_words(draw):
+    """Cyclically reduced step words of 2-16 letters that start with X."""
+    n = draw(st.integers(2, 16))
+    letters = "X"
+    while len(letters) < n:
+        last = len(letters) == n - 1
+        letters += draw(st.sampled_from(
+            [ch for ch in "XYZxyz" if ch != INVERSE[letters[-1]]
+             and not (last and ch == "x")]))
+    return letters
+
+
+@settings(max_examples=300, deadline=None)
+@given(x_led_reduced_words())
+def test_a_run_longer_than_the_lead_is_never_least(letters):
+    lead, *rest = [len(list(run)) for _, run in itertools.groupby(letters)]
+    assume(rest and max(rest) > lead)
+    assert min(closure_set(letters)) < letters
+    assert not is_least_member(letters)
 
 
 @pytest.mark.parametrize("max_len", range(2, 10))
@@ -267,6 +322,13 @@ def test_endpoint_lattice_matches_word_walk():
                 sorted(want), (sign, max_length)
     with pytest.raises(ValueError, match="max_length"):
         identity_endpoint_lattice(-3)
+
+
+@pytest.mark.parametrize("max_length", (10, 11, 12))
+@pytest.mark.parametrize("sign", ("+I", "-I", "both"))
+def test_endpoint_lattice_matches_reduced_word_frontier(sign, max_length):
+    assert identity_endpoint_lattice(max_length, sign) == \
+        reduced_endpoint_lattice(max_length, sign)
 
 
 def test_endpoint_lattice_closed_under_addition():
