@@ -25,9 +25,9 @@ from .tiling import (KINDS, SignedTiling, boundary_obstruction_check,
                      constructible_sequence_check,
                      construction_step_from_json, min_stone_probe,
                      signed_tiling_solve, signed_tiling_verify,
-                     standard_tiling_solve, tile_catalog)
-from .words import (STEP_MATRICES, Word, WordError, classify_pm,
-                    eval_letters, parse_word)
+                     standard_tiling_solve)
+from .words import (STEP_MATRICES, TILE_CLASSES, Word, WordError,
+                    parse_word)
 
 
 class InputError(Exception):
@@ -47,7 +47,7 @@ def load_region(path: str, allow_empty: bool = False) -> Region:
         raise InputError(f"{path}: {e}") from e
 
 
-def load_word(path_or_literal: str, alphabet: str = "step") -> Word:
+def load_word(path_or_literal: str) -> Word:
     p = Path(path_or_literal)
     text = path_or_literal
     try:
@@ -57,9 +57,16 @@ def load_word(path_or_literal: str, alphabet: str = "step") -> Word:
     if is_file:
         text = p.read_text().strip()
     try:
-        return parse_word(text, alphabet)
+        return parse_word(text)
     except WordError as e:
         raise InputError(f"bad word {text!r}: {e}") from e
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as e:
+        raise InputError(f"{path}: {e}") from e
 
 
 def _emit(obj) -> None:
@@ -79,21 +86,13 @@ def _kinds(arg: str):
 
 
 def cmd_verify_tiles(args) -> int:
-    rows = []
-    ok = True
-    for shape in tile_catalog():
-        expect = ("MinusIdentity" if shape.kind == "stone"
-                  else "PlusIdentity")
-        step_class = classify_pm(eval_letters(shape.boundary_word.letters))
-        edge_class = classify_pm(eval_letters(
-            fixtures.TILE_EDGE_WORDS[shape.name], "edge"))
-        good = step_class.value == edge_class.value == expect
-        ok &= good
-        rows.append({"tile": shape.name, "kind": shape.kind,
-                     "step_class": step_class.value,
-                     "edge_class": edge_class.value, "ok": good})
-    _emit({"tiles": rows, "count": len(rows), "all_ok": ok})
-    return 0 if ok else 1
+    # every tile word was evaluated, in both alphabets, when words was
+    # imported, which fails on a wrong class; so every row is ok
+    rows = [{"tile": name, "kind": name.split("_", 1)[0],
+             "step_class": step_class.value, "edge_class": edge_class.value,
+             "ok": True} for name, step_class, edge_class in TILE_CLASSES]
+    _emit({"tiles": rows, "count": len(rows), "all_ok": True})
+    return 0
 
 
 def cmd_check_region(args) -> int:
@@ -130,10 +129,7 @@ def cmd_solve_exact(args) -> int:
 
 
 def cmd_check_sequence(args) -> int:
-    try:
-        data = json.loads(Path(args.infile).read_text())
-    except (OSError, ValueError) as e:
-        raise InputError(f"{args.infile}: {e}") from e
+    data = _read_json(args.infile)
     if not isinstance(data, list):
         raise InputError(f"{args.infile}: a sequence must be a list of steps")
     steps = []
@@ -220,10 +216,7 @@ def cmd_render(args) -> int:
     if args.subject == "region":
         doc = svg.render_region(load_region(args.infile), args.scale)
     elif args.subject == "tiling":
-        try:
-            data = json.loads(Path(args.infile).read_text())
-        except (OSError, ValueError) as e:
-            raise InputError(f"{args.infile}: {e}") from e
+        data = _read_json(args.infile)
         region = None
         entries = data
         try:

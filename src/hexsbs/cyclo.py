@@ -133,9 +133,6 @@ class Mat2:
         return (self.a.coeffs() + self.b.coeffs()
                 + self.c.coeffs() + self.d.coeffs())
 
-    def to_json(self) -> list[list[str]]:
-        return [[str(self.a), str(self.b)], [str(self.c), str(self.d)]]
-
 
 IDENTITY = Mat2(ONE, ZERO, ZERO, ONE)
 MINUS_IDENTITY = Mat2(MINUS_ONE, ZERO, ZERO, MINUS_ONE)

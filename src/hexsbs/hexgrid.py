@@ -245,9 +245,6 @@ class BoundaryWord:
     start: LatticePoint
     word: Word
 
-    def to_json(self) -> dict:
-        return {"start": list(self.start), "word": self.word.letters}
-
 
 def region_boundary_word(region: Region) -> BoundaryWord:
     """Extract the CCW boundary as a step word.

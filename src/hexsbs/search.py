@@ -63,6 +63,10 @@ class SearchConfig:
     partitions: int = 1
 
     def __post_init__(self):
+        for name in ("max_word_length", "partitions"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.max_word_length < 2:
             raise ValueError("max_word_length must be >= 2")
         if self.partitions < 1:
@@ -135,14 +139,6 @@ class Reduction:
 
     survivors: tuple
     casualties: tuple  # of (RelationRecord, factor, source_representative)
-
-    def to_json(self) -> dict:
-        return {
-            "survivors": [r.to_json() for r in self.survivors],
-            "casualties": [{**r.to_json(), "killed_by_factor": f,
-                            "killed_by": src}
-                           for r, f, src in self.casualties],
-        }
 
 
 def _windows(letters: str, h: int) -> set:
@@ -343,7 +339,6 @@ def identity_word_census(max_length: int = 16) -> CensusReport:
         counts.append((n + 1, *(sum(prefixes[i] for i in end)
                                 for end in ends)))
 
-    shortest = sorted(zip(STEP_GROUP.shortest, pm),
-                      key=lambda p: (len(p[0]), p[0]))
+    # the group's breadth-first numbering is the shortlex order of these
     return CensusReport(max_length, tuple(counts), len(STEP_GROUP.elements),
-                        tuple(shortest))
+                        tuple(zip(STEP_GROUP.shortest, pm)))

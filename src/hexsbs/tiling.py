@@ -98,8 +98,23 @@ def placement_from_json(obj: dict) -> Placement:
 
 
 def _check_padding(padding: int) -> None:
+    if type(padding) is not int:
+        raise ValueError(f"padding must be an int, got {padding!r}")
     if padding < 0:
         raise ValueError("padding must be >= 0")
+
+
+def _tile_kinds(kinds) -> tuple:
+    """The kinds as a tuple of names from KINDS.  A string is refused,
+    since `in` would match its substrings."""
+    if isinstance(kinds, str):
+        raise ValueError(f"kinds must be a collection of names, "
+                         f"not the string {kinds!r}")
+    kinds = tuple(kinds)
+    for k in kinds:
+        if k not in KINDS:
+            raise ValueError(f"unknown tile kind {k!r}")
+    return kinds
 
 
 def pad_window(cells, padding: int) -> frozenset:
@@ -118,8 +133,9 @@ def enumerate_placements(window, kinds=KINDS) -> list:
     cell: one pass over the sorted window per shape keeps each cell that
     puts the shape's other offsets on the window too.  The 3- and 4-cell
     tests are written out: a generic all() over the offsets took more
-    than twice as long.
+    than twice as long.  An unknown kind, or a string, raises ValueError.
     """
+    kinds = _tile_kinds(kinds)
     window = frozenset(window)
     order = sorted(window)
     out = []
@@ -330,7 +346,9 @@ def signed_tiling_solve(region: Region, kinds=KINDS, padding: int = 2):
     with placements restricted to the region padded by `padding`; None
     means no solution exists in that window (not a global impossibility).
     A boundary class of Other rules out every signed tiling in the plane,
-    so such a region is answered None before any placement is made."""
+    so such a region is answered None before any placement is made.
+    An unknown kind, or a string, raises ValueError before that."""
+    kinds = _tile_kinds(kinds)
     _check_padding(padding)
     if not region.cells:
         return SignedTiling(())
@@ -445,8 +463,10 @@ def standard_tiling_solve(region: Region, kinds=KINDS, mode: str = "first",
     counts live, so a bar of n bones takes time linear in n.
     A tiling's boundary value is the product of its tiles' signs, so a
     region whose class is Other, or -I when stones are excluded, has no
-    cover and is answered before any placement is made.
+    cover and is answered before any placement is made.  An unknown
+    kind, or a string, raises ValueError before that.
     """
+    kinds = _tile_kinds(kinds)
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")
     if cap < 0:
@@ -474,9 +494,6 @@ def boundary_obstruction_check(region: Region) -> PMClass:
 class ConstructionStep:
     action: str  # "add" | "remove"
     placement: Placement
-
-    def to_json(self) -> dict:
-        return {"action": self.action, **self.placement.to_json()}
 
 
 def construction_step_from_json(obj: dict) -> ConstructionStep:

@@ -14,7 +14,8 @@ Conventions
   M(Z) = gamma^-1*beta^-1.  The pair order inside M(Z) is pinned by the
   tile calibration suite (all bone/snake boundary words must evaluate to I
   and both stone words to -I, in both alphabets); the suite is asserted
-  once at import via fixtures.TILE_WORDS.
+  once at import via fixtures.TILE_WORDS, and its rows are kept as
+  TILE_CLASSES.
 * The step matrices generate SL(2,3), of order 24, tabulated once at
   import as STEP_GROUP from exact Mat2 products; step words evaluate by
   one table lookup per letter.  Edge words stay on Mat2 products, since
@@ -297,10 +298,11 @@ def edge_to_step(w: Word) -> tuple[Word, int]:
     raise first_error
 
 
-def _startup_calibration() -> None:
+def _startup_calibration() -> tuple:
     # Bones and snakes must evaluate to I and stones to -I, in both
     # alphabets; guards the composition-order convention above.
     from . import fixtures
+    rows = []
     for name, step_letters in fixtures.TILE_WORDS.items():
         expect = (PMClass.MINUS_IDENTITY if name.startswith("stone")
                   else PMClass.PLUS_IDENTITY)
@@ -313,6 +315,10 @@ def _startup_calibration() -> None:
         if got_edge is not expect:
             raise AssertionError(
                 f"edge-alphabet calibration failed on {name}: {got_edge}")
+        rows.append((name, got, got_edge))
+    return tuple(rows)
 
 
-_startup_calibration()
+# (tile name, step-word class, edge-word class) of each tile, in catalog
+# order; every row has passed the calibration
+TILE_CLASSES = _startup_calibration()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hexsbs import cli, hexgrid
+from hexsbs import cli, cyclo, hexgrid
 from hexsbs.cli import run
 from hexsbs.tiling import SignedTiling, signed_tiling_verify
 from hexsbs.hexgrid import region_validate
@@ -29,6 +29,19 @@ def test_verify_tiles(capsys):
     assert data["all_ok"] and data["count"] == 11
     stones = [t for t in data["tiles"] if t["kind"] == "stone"]
     assert all(t["step_class"] == "MinusIdentity" for t in stones)
+
+
+def test_verify_tiles_prints_the_import_calibration(capsys, monkeypatch):
+    # the words were evaluated once, at import; the command multiplies
+    # no matrix
+    def product(self, other):
+        raise AssertionError("verify-tiles evaluated a word")
+
+    monkeypatch.setattr(cyclo.Mat2, "__mul__", product)
+    code, out, _ = invoke(capsys, "verify-tiles")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "d9bb0809eedcf5593a6a847cca5f22ec5840332c38f6abbc4fcaac60d1e4db4a"
 
 
 def test_check_region_hex7(capsys):
@@ -441,6 +454,31 @@ def test_render_tiling_rejects_malformed_region(capsys, tmp_path, region,
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
     assert where in err and not out_file.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["render", "--subject", "path", "--in", "XQ", "--out", "{tmp}/out.svg"],
+     "error: bad word 'XQ': invalid step letter 'Q' at index 1"),
+    (["check-sequence", "--in", "{tmp}/missing.json"],
+     "error: {tmp}/missing.json: "),
+    (["check-sequence", "--in", "{tmp}/bad.json"], "error: {tmp}/bad.json: "),
+    (["group-probe", "--generators", "XQ"],
+     "error: unknown generator letter 'Q'"),
+    (["render", "--subject", "tiling", "--in", "{tmp}/bad.json",
+      "--out", "{tmp}/out.svg"], "error: {tmp}/bad.json: "),
+    (["render", "--subject", "region", "--in", str(FIXTURES / "hex7.json"),
+      "--out", "{tmp}/missing/out.svg"],
+     "error: cannot write {tmp}/missing/out.svg: "),
+], ids=["bad path word", "missing sequence", "malformed sequence",
+        "bad generator", "malformed tiling", "missing out directory"])
+def test_input_error_paths_exit_2(capsys, tmp_path, argv, message):
+    (tmp_path / "bad.json").write_text('[{"action": "add",')
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(message.format(tmp=tmp_path))
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out.svg").exists()
 
 
 def test_render_region(capsys, tmp_path):

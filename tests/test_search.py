@@ -286,6 +286,18 @@ def test_coset_enumeration_matches_group_probe():
     assert len(table) == probe.order == 24
 
 
+@pytest.mark.parametrize("args, name", [
+    ((8.5,), "max_word_length"),
+    ((True,), "max_word_length"),
+    (("8",), "max_word_length"),
+    ((8, True), "partitions"),
+    ((8, 2.0), "partitions"),
+])
+def test_search_config_requires_ints(args, name):
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        SearchConfig(*args)
+
+
 def test_group_probe_bound_respected():
     result = group_closure_probe(
         [STEP_MATRICES[ch] for ch in "XYZ"], bound=10)

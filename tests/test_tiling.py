@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import random
+import re
 import sys
 import time
 from itertools import islice
@@ -11,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hexsbs.cli import load_region
-from hexsbs.cyclo import PMClass
+from hexsbs.cyclo import IDENTITY, PMClass
 from hexsbs.fixtures import (CRESCENT_CELLS, CRESCENT_CERTIFICATE,
                              CRESCENT_SEQUENCE, BARBELL_CELLS, HEX7_CELLS,
                              RING6_CELLS, SEQUENCE_2X2X2_LEFT,
@@ -28,7 +29,7 @@ from hexsbs.tiling import (KINDS, ConstructionStep, IntegerLattice, Placement,
                            min_stone_probe, pad_window, signed_tiling_solve,
                            signed_tiling_verify, solve_cell_target,
                            standard_tiling_solve, tile_catalog, tile_shape)
-from hexsbs.words import closure, step_word
+from hexsbs.words import STEP_GROUP, closure, eval_word, step_word
 
 from oracles import (DenseIntegerLattice, anchor_scan_placements,
                      brute_force_tiling_count, flood_is_simply_connected,
@@ -558,6 +559,86 @@ def test_exact_cover_empty_region():
     assert (capped.count, capped.cap_exceeded) == (0, True)
 
 
+@pytest.mark.parametrize("padding", [True, False, 1.0, 2.5, "2", None])
+def test_padding_must_be_an_int(padding):
+    region = region_validate(HEX7_CELLS)
+    other = region_validate([(0, 0)])  # answered without a window
+    calls = [lambda: pad_window(region.cells, padding),
+             lambda: signed_tiling_solve(region, padding=padding),
+             lambda: signed_tiling_solve(other, padding=padding),
+             lambda: signed_tiling_solve(
+                 region_validate([], allow_empty=True), padding=padding),
+             lambda: min_stone_probe(region, padding),
+             lambda: min_stone_probe(other, padding)]
+    for call in calls:
+        with pytest.raises(ValueError, match="padding must be an int"):
+            call()
+
+
+@pytest.mark.parametrize("kinds, named", [
+    (("bnoe",), "unknown tile kind 'bnoe'"),
+    (("bone", "stoen", "bnoe"), "unknown tile kind 'stoen'"),
+    (["bone", "Snake"], "unknown tile kind 'Snake'"),
+    (("bone", None), "unknown tile kind None"),
+    ("bonesnake", "not the string 'bonesnake'"),
+    ("bone", "not the string 'bone'"),
+])
+@pytest.mark.parametrize("cells", [
+    HEX7_CELLS,  # +I
+    tile_shape("stone", "left").cells,  # -I, which no stone-free cover has
+    [(0, 0)],  # Other, which no signed tiling has
+    [],
+], ids=["plus", "minus", "other", "empty"])
+def test_unknown_kinds_rejected_before_any_gate(kinds, named, cells):
+    region = region_validate(cells, allow_empty=True)
+    calls = [lambda: enumerate_placements(region.cells, kinds),
+             lambda: signed_tiling_solve(region, kinds),
+             lambda: standard_tiling_solve(region, kinds),
+             lambda: standard_tiling_solve(region, kinds, "count")]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            call()
+
+
+def test_kinds_may_be_any_collection_of_names():
+    window = pad_window(HEX7_CELLS, 1)
+    want = enumerate_placements(window, ("bone", "snake"))
+    for kinds in (["snake", "bone"], {"bone", "snake"},
+                  frozenset(("bone", "snake")), iter(("bone", "snake"))):
+        assert enumerate_placements(window, kinds) == want
+    region = region_validate(HEX7_CELLS)
+    assert standard_tiling_solve(region, iter(["bone"])) == \
+        standard_tiling_solve(region, ("bone",))
+
+
+def element_order(m):
+    k, power = 1, m
+    while power != IDENTITY:
+        power, k = power * m, k + 1
+    return k
+
+
+# the order-8 subgroup of the step group: its elements of order 1, 2 or 4
+Q8 = frozenset(m for m in STEP_GROUP.elements if element_order(m) in (1, 2, 4))
+
+
+def test_q8_is_a_subgroup_of_order_8():
+    assert len(Q8) == 8
+    assert all(a * b in Q8 for a in Q8 for b in Q8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), size=st.integers(1, 60),
+       built=st.booleans())
+def test_every_boundary_value_lies_in_q8(seed, size, built):
+    # the paper's Q8 fact: a region's boundary word evaluates into the
+    # order-8 subgroup, so its class mod +-I is one of four
+    rng = random.Random(seed)
+    region = (tile_built_region(rng, 1 + size // 5) if built
+              else grow_random_region(rng, size))
+    assert eval_word(region_boundary_word(region).word) in Q8
+
+
 def test_negative_cap_and_padding_rejected():
     region = region_validate(HEX7_CELLS)
     with pytest.raises(ValueError, match="cap"):
@@ -712,6 +793,18 @@ def test_sequence_detached_add():
     ]))
     assert not report.valid
     assert report.violation_reason == "interior placement"
+
+
+def test_sequence_remove_of_an_interior_tile():
+    # a 5 x 3 block of vertical bones; the middle one touches no outside
+    adds = [("add", "bone", "vertical", (q, 3 * k))
+            for q in range(5) for k in range(3)]
+    report = constructible_sequence_check(steps(
+        adds + [("remove", "bone", "vertical", (2, 3))]))
+    assert not report.valid
+    assert (report.violation_index, report.violation_reason) == \
+        (15, "interior placement")
+    assert len(report.records) == 15
 
 
 def test_sequence_puncture():

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexsbs import fixtures, words
 from hexsbs.cyclo import IDENTITY, MINUS_IDENTITY, PMClass
 from hexsbs.fixtures import (CONJECTURE_MINUS, CONJECTURE_PLUS,
                              TABLE_WORDS, TILE_EDGE_WORDS, TILE_WORDS)
-from hexsbs.words import (STEP_GROUP, STEP_MATRICES, ClosureClass, Word,
+from hexsbs.words import (STEP_GROUP, STEP_MATRICES, TILE_CLASSES,
+                          ClosureClass, Word,
                           WordError, canonical_representative, classify_pm,
                           closure, closure_members, edge_to_step,
                           eval_letters, eval_word, free_reduce, invert_word,
@@ -264,6 +266,38 @@ def test_step_group_shortest_words_are_least():
         for letters in map("".join, itertools.product("XYZxyz", repeat=n)):
             least.setdefault(eval_by_products(letters), letters)
     assert STEP_GROUP.shortest == tuple(least[m] for m in STEP_GROUP.elements)
+
+
+def test_step_group_is_numbered_in_shortlex_order():
+    # the census lists the shortest words in table order as shortlex order
+    assert list(STEP_GROUP.shortest) == sorted(
+        STEP_GROUP.shortest, key=lambda w: (len(w), w))
+
+
+def test_tile_classes_keep_the_import_calibration():
+    assert [name for name, _, _ in TILE_CLASSES] == list(TILE_WORDS)
+    for name, step_class, edge_class in TILE_CLASSES:
+        want = (PMClass.MINUS_IDENTITY if name.startswith("stone")
+                else PMClass.PLUS_IDENTITY)
+        assert step_class is edge_class is want, name
+        assert classify_pm(eval_letters(TILE_WORDS[name])) is step_class
+        assert classify_pm(eval_letters(TILE_EDGE_WORDS[name],
+                                        "edge")) is edge_class
+
+
+@pytest.mark.parametrize("table, alphabet", [
+    ("TILE_WORDS", "composition-order"),
+    ("TILE_EDGE_WORDS", "edge-alphabet"),
+])
+def test_calibration_refuses_a_wrong_tile_class(monkeypatch, table,
+                                                alphabet):
+    # a bone word filed under a stone name must stop the import
+    words_of = dict(getattr(fixtures, table))
+    words_of["stone_left"] = words_of["bone_left"]
+    monkeypatch.setattr(fixtures, table, words_of)
+    with pytest.raises(AssertionError,
+                       match=f"{alphabet} calibration failed on stone_left"):
+        words._startup_calibration()
 
 
 @settings(max_examples=100, deadline=None)
