@@ -128,11 +128,6 @@ class Mat2:
             raise ValueError("mat_inv requires det = 1")
         return Mat2(self.d, -self.b, -self.c, self.a)
 
-    def encode(self) -> tuple[int, ...]:
-        """Canonical 16-integer key (hashing / search index)."""
-        return (self.a.coeffs() + self.b.coeffs()
-                + self.c.coeffs() + self.d.coeffs())
-
 
 IDENTITY = Mat2(ONE, ZERO, ZERO, ONE)
 MINUS_IDENTITY = Mat2(MINUS_ONE, ZERO, ZERO, MINUS_ONE)

@@ -127,9 +127,6 @@ class Region:
     def sorted_cells(self):
         return sorted(self.cells)
 
-    def to_json(self) -> dict:
-        return {"cells": [list(c) for c in self.sorted_cells()]}
-
 
 def neighbors(cell: Cell):
     q, r = cell

@@ -219,30 +219,31 @@ class GroupProbeResult:
 
 def group_closure_probe(generators, bound: int = 10 ** 6) -> GroupProbeResult:
     """Breadth-first closure of <generators> under multiplication by the
-    generators and their inverses, using canonical matrix encodings for
+    generators and their inverses, keyed on the matrices themselves for
     dedup; stops (BoundExceeded) once more than `bound` elements appear."""
+    if type(bound) is not int:
+        raise ValueError(f"bound must be an int, got {bound!r}")
     if bound < 1:
         raise ValueError("bound must be >= 1")
     gens = []
     for g in generators:
         gens.append(g)
         gens.append(g.inv())
-    seen = {IDENTITY.encode(): IDENTITY}
+    seen = {IDENTITY}
     frontier = [IDENTITY]
     while frontier:
         nxt = []
         for m in frontier:
             for g in gens:
                 p = m * g
-                key = p.encode()
-                if key not in seen:
+                if p not in seen:
                     if len(seen) >= bound:
                         return GroupProbeResult(None, bound, ())
-                    seen[key] = p
+                    seen.add(p)
                     nxt.append(p)
         frontier = nxt
     orders = {}
-    for m in seen.values():
+    for m in seen:
         n = 1
         p = m
         while p != IDENTITY:
@@ -261,6 +262,8 @@ def identity_endpoint_lattice(max_length: int, sign: str = "both") -> list:
     set.  Its size is polynomial in the length."""
     if sign not in ("+I", "-I", "both"):
         raise ValueError(f"bad sign filter {sign!r}")
+    if type(max_length) is not int:
+        raise ValueError(f"max_length must be an int, got {max_length!r}")
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
     wanted = {"+I": {PMClass.PLUS_IDENTITY},
@@ -313,6 +316,8 @@ def identity_word_census(max_length: int = 16) -> CensusReport:
     Mat2 recount and a brute force, and the benchmark recomputes them
     from its own group.
     """
+    if type(max_length) is not int:
+        raise ValueError(f"max_length must be an int, got {max_length!r}")
     if max_length < 2:
         raise ValueError("max_length must be >= 2")
     step, pm = STEP_GROUP.step, STEP_GROUP.pm

@@ -227,14 +227,15 @@ class IntegerLattice:
 
     Each placement is one sparse row over the window cells, keyed 0..m-1
     in sorted cell order and read from its anchor plus its shape's
-    offsets, with no cell set built.  The rows are reduced by integer row
-    operations (subtract a multiple of one row from another, swap two
-    rows, negate a row), and each operation is appended to one flat log
-    instead of being applied to a transform.  Targets are integer vectors
-    over the window cells; membership comes from forward substitution
-    along the HNF rows, and a particular solution from replaying the log
-    backwards on the pivot coefficients.  Exact big-integer arithmetic
-    throughout.
+    offsets, with no cell set built.  A row keeps the name of the
+    placement it started as, in `_ids`, while swaps move it.  The rows
+    are reduced by integer row operations, and each is appended to one
+    flat log instead of being applied to a transform, as (i, q, b):
+    placement i's row -= q * placement b's row.  A swap logs nothing, and
+    a negation is (i, 2, i).  Targets are integer vectors over the window
+    cells; membership comes from forward substitution along the HNF rows,
+    and a particular solution from replaying the log backwards on the
+    pivot coefficients.  Exact big-integer arithmetic throughout.
     """
 
     def __init__(self, placements, window):
@@ -244,7 +245,7 @@ class IntegerLattice:
         n, m = len(self.placements), len(self.cells)
         rows = [dict.fromkeys(t, 1)
                 for t in _tile_indices(self.placements, self._cell_index)]
-        # (i, q, b): row i -= q * row b; (piv, src): swap; (piv,): negate
+        ids = list(range(n))
         log = []
         pivots = []
         piv = 0
@@ -263,29 +264,30 @@ class IntegerLattice:
                     q = rows[i][col] // base[col]
                     if q:
                         _subtract(rows[i], q, base)
-                        log.append((i, q, b))
+                        log.append((ids[i], q, ids[b]))
                 nz = [i for i in nz if col in rows[i]]
             src = nz[0]
-            if src != piv:
-                rows[piv], rows[src] = rows[src], rows[piv]
-                log.append((piv, src))
+            rows[piv], rows[src] = rows[src], rows[piv]
+            ids[piv], ids[src] = ids[src], ids[piv]
             if rows[piv][col] < 0:
                 rows[piv] = {k: -a for k, a in rows[piv].items()}
-                log.append((piv,))
+                log.append((ids[piv], 2, ids[piv]))
             pivots.append((piv, col))
             piv += 1
         self._rows = rows
         self._pivots = pivots
+        self._ids = ids
         self._log = log
 
     def solve(self, target: dict):
         """Integer coefficients x with sum x_i * placement_i = target, or
         None if the target is outside the lattice (window-relative).
 
-        Forward substitution writes the target as sum y_r * row_r over
-        the pivot rows; as row_r = sum_j T[r][j] * placement_j for the
-        logged operations' product T, x is T transposed times y, which
-        the log read backwards builds one operation at a time.
+        Forward substitution writes the target as sum y_k * row_k over
+        the pivot rows, each named by its placement k; as row_k =
+        sum_j T[k][j] * placement_j for the logged operations' product T,
+        x is T transposed times y, which the log read backwards builds one
+        operation at a time.
         """
         index = self._cell_index
         if any(v and c not in index for c, v in target.items()):
@@ -298,20 +300,13 @@ class IntegerLattice:
             row = self._rows[pr]
             if resid[pc] % row[pc]:
                 return None
-            y[pr] = t = resid[pc] // row[pc]
+            y[self._ids[pr]] = t = resid[pc] // row[pc]
             _subtract(resid, t, row)
         if resid:
             return None
-        for op in reversed(self._log):
-            if len(op) == 3:
-                i, q, b = op
-                if y[i]:
-                    y[b] -= q * y[i]
-            elif len(op) == 2:
-                piv, src = op
-                y[piv], y[src] = y[src], y[piv]
-            else:
-                y[op[0]] = -y[op[0]]
+        for i, q, b in reversed(self._log):
+            if y[i]:
+                y[b] -= q * y[i]
         return y
 
 
@@ -469,6 +464,8 @@ def standard_tiling_solve(region: Region, kinds=KINDS, mode: str = "first",
     kinds = _tile_kinds(kinds)
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")
+    if type(cap) is not int:
+        raise ValueError(f"cap must be an int, got {cap!r}")
     if cap < 0:
         raise ValueError("cap must be >= 0")
     if region.cells:

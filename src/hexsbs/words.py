@@ -125,10 +125,6 @@ class ClosureClass:
         letters = w.letters if isinstance(w, Word) else w
         return letters in self.members
 
-    def to_json(self) -> dict:
-        return {"representative": self.representative.letters,
-                "members": sorted(self.members)}
-
 
 def closure_variants(letters: str):
     """The six words whose cyclic shifts make up the closure class: the

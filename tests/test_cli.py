@@ -401,6 +401,9 @@ BONE_STEP = {"action": "add", "kind": "bone", "orientation": "left",
     ([BONE_STEP, 5], "step 1"),
     ({}, "list"),
     (BONE_STEP, "list"),
+    ([{**BONE_STEP, "action": "move"}], "step 0: bad action 'move'"),
+    ([{**BONE_STEP, "orientation": "sideways"}],
+     "step 0: unknown tile bone_sideways"),
 ])
 def test_check_sequence_rejects_malformed_steps(capsys, tmp_path, data,
                                                 where):
@@ -421,6 +424,8 @@ def test_check_sequence_rejects_malformed_steps(capsys, tmp_path, data,
     ({"coeff": 0}, "entry 1: coeff 0 is not 1 or -1"),
     ({"coeff": 5}, "entry 1: coeff 5 is not 1 or -1"),
     ({"coeff": -1}, "does not tile the region at cell [-1, 2]"),
+    ({"kind": "bone", "orientation": "sideways"},
+     "entry 1: unknown tile bone_sideways"),
 ])
 def test_render_tiling_rejects_malformed_entries(capsys, tmp_path, edit,
                                                  where):

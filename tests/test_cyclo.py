@@ -133,7 +133,8 @@ def test_text_round_trip():
         CycInt.parse("bogus")
 
 
-def test_encode_is_canonical():
-    assert len(IDENTITY.encode()) == 16
-    assert IDENTITY.encode() != MINUS_IDENTITY.encode()
-    assert (BETA * ALPHA).encode() == (BETA * ALPHA).encode()
+def test_mat2_key_is_canonical():
+    # equal products are one set key, and +-I are two
+    assert len({IDENTITY, MINUS_IDENTITY, BETA * ALPHA, BETA * ALPHA}) == 3
+    assert hash(BETA * ALPHA) == hash(BETA * ALPHA)
+    assert Mat2(ONE, ZERO, ZERO, ONE) in {IDENTITY}

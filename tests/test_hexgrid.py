@@ -215,6 +215,11 @@ def test_hole_test_on_rings_and_paths():
     assert len(bw.word) == (6 * 300 - 2 * 299) // 2
 
 
+def test_empty_region_has_no_boundary_word():
+    with pytest.raises(RegionError, match="empty region"):
+        region_boundary_word(Region(frozenset()))
+
+
 def test_boundary_word_hex7():
     bw = region_boundary_word(region_validate(HEX7_CELLS))
     assert bw.word.letters in closure(step_word(HEX7_WORD)).members
@@ -301,10 +306,9 @@ def test_plane_round_trip():
 
 
 def test_region_json_round_trip():
-    import json
-    region = region_validate(HEX7_CELLS)
-    again = region_from_json(json.dumps(region.to_json()))
-    assert again == region
+    text = ('{"cells": [[-2, 0], [-2, 1], [-1, -1], [-1, 0], [-1, 1], '
+            '[0, -1], [0, 0]]}')
+    assert region_from_json(text) == region_validate(HEX7_CELLS)
     with pytest.raises(RegionError):
         region_from_json('{"not_cells": []}')
 

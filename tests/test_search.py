@@ -307,6 +307,17 @@ def test_group_probe_bound_respected():
         group_closure_probe([IDENTITY], bound=0)
 
 
+@pytest.mark.parametrize("value", [True, False, 2.5, "2", None])
+def test_search_sizes_must_be_ints(value):
+    calls = {"max_length": [lambda: identity_endpoint_lattice(value),
+                            lambda: identity_word_census(value)],
+             "bound": [lambda: group_closure_probe([IDENTITY], bound=value)]}
+    for name, fns in calls.items():
+        for call in fns:
+            with pytest.raises(ValueError, match=f"{name} must be an int"):
+                call()
+
+
 def test_endpoint_lattice_contains_landmarks():
     plus = set(identity_endpoint_lattice(6, "+I"))
     assert (0, 0) in plus          # closed identity loops

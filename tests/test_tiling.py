@@ -68,6 +68,12 @@ def steps(items):
             for a, k, o, anchor in items]
 
 
+def test_sequence_check_rejects_unknown_action():
+    with pytest.raises(ValueError, match="bad action 'move'"):
+        constructible_sequence_check(steps([("move", "bone", "left",
+                                             (0, 0))]))
+
+
 def test_catalog_counts():
     catalog = tile_catalog()
     assert len(catalog) == 11
@@ -216,14 +222,19 @@ def test_integer_lattice_rejects_unreachable():
 
 def assert_lattice_matches_dense(placements, window, targets):
     """The sparse lattice has the dense oracle's HNF entry for entry, its
-    operation log replayed on identity rows is the dense transform, and
-    it returns the same coefficient list (or None) for every target."""
+    operation log, all (i, q, b) over placement numbers, replayed on
+    identity rows and reordered by its ids is the dense transform, and it
+    returns the same coefficient list (or None) for every target."""
     sparse = IntegerLattice(placements, window)
     dense = DenseIntegerLattice(placements, window)
+    n = len(placements)
     assert sparse._pivots == dense._pivots
     assert sparse._rows == [{k: v for k, v in enumerate(row) if v}
                             for row in dense._rows]
-    assert transform_from_log(sparse._log, len(placements)) == \
+    assert sorted(sparse._ids) == list(range(n))
+    assert all(len(op) == 3 and all(type(a) is int for a in op)
+               and 0 <= op[0] < n and 0 <= op[2] < n for op in sparse._log)
+    assert transform_from_log(sparse._log, sparse._ids, n) == \
         dense._transform
     answers = [sparse.solve(t) for t in targets]
     assert answers == [dense.solve(t) for t in targets]
@@ -573,6 +584,13 @@ def test_padding_must_be_an_int(padding):
     for call in calls:
         with pytest.raises(ValueError, match="padding must be an int"):
             call()
+
+
+@pytest.mark.parametrize("cap", [True, False, 2.5, "2", None])
+def test_cap_must_be_an_int(cap):
+    for region in (region_validate(HEX7_CELLS), region_validate([(0, 0)])):
+        with pytest.raises(ValueError, match="cap must be an int"):
+            standard_tiling_solve(region, mode="count", cap=cap)
 
 
 @pytest.mark.parametrize("kinds, named", [
