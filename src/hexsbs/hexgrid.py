@@ -16,7 +16,13 @@ Coordinates
   :mod:`hexsbs.words`), so boundary extraction records the
   counterclockwise walk and then reverses it.
 * A region is tested by one boundary walk, kept with the Region; the step
-  word is read off it only when asked for.
+  word is read off it only when asked for.  The cells whose bottom and
+  top edges the walk takes pair off, sorted, into column runs (q fixed,
+  r from bottom to top).  If the walk is the outer cycle of the least
+  cell's piece, they are the runs of that piece with its holes filled,
+  and the set is one region exactly when the runs lie in it and hold
+  all its cells.  If the walk is instead a hole's cycle, as for a ring,
+  each column pairs a top below its bottom and the set is rejected.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
+from operator import add
 from random import Random
 
 from .words import STEP_TO_EDGES, Word, step_word
@@ -148,41 +155,71 @@ def is_edge_connected(cells) -> bool:
     return len(seen) == len(cells)
 
 
-def _walk_from(cells, cell: Cell, k: int) -> str:
-    """Edge letters of the boundary cycle from boundary edge k of `cell`,
-    region on the left.  At the head of edge k the walk turns onto edge
-    k + 1 of the same cell, or, if the neighbor across that edge is in
-    `cells`, goes on along that neighbor's edge k - 1."""
+# edge k -> (its letter, the neighbor offset across edge k + 1, the next
+# edge if that neighbor is in the region, the next edge if it is not)
+_WALK_STEPS = tuple((_EDGE_LETTERS[k], *NEIGHBOR_OFFSETS[(k + 1) % 6],
+                     (k - 1) % 6, (k + 1) % 6) for k in range(6))
+
+
+def _walk_from(cells, cell: Cell, k: int) -> tuple:
+    """(edge letters, bottoms, tops) of the boundary cycle from boundary
+    edge k of `cell`, region on the left: at the head of edge k the walk
+    turns onto edge k + 1 of the same cell, or, if the neighbor across that
+    edge is in `cells`, goes on along that neighbor's edge k - 1.  Bottoms
+    and tops are the cells whose bottom edge (k = 4) and top edge (k = 1)
+    the walk takes, in walk order."""
     q0, r0 = q, r = cell
     k0 = k
-    letters = []
+    letters, bottoms, tops = [], [], []
     while True:
-        letters.append(_EDGE_LETTERS[k])
-        dq, dr = NEIGHBOR_OFFSETS[(k + 1) % 6]
+        letter, dq, dr, inside, outside = _WALK_STEPS[k]
+        letters.append(letter)
+        if k == 4:
+            bottoms.append((q, r))
+        elif k == 1:
+            tops.append((q, r))
         if (q + dq, r + dr) in cells:
-            q, r, k = q + dq, r + dr, (k - 1) % 6
+            q, r, k = q + dq, r + dr, inside
         else:
-            k = (k + 1) % 6
+            k = outside
         if k == k0 and q == q0 and r == r0:
-            return "".join(letters)
+            return "".join(letters), bottoms, tops
 
 
 def _boundary_walk(cells) -> tuple:
     """(cell, k, edge letters) of the walk from edge k of `cell`, the least
-    boundary edge.  Each grid vertex has degree 3, so the boundary edges
-    form disjoint simple cycles, one per piece and one per hole; a walk
-    that leaves some unused (6 per cell, less 2 per adjacent pair) is a
-    RegionError, and only then does a flood name the fault."""
+    boundary edge, or a RegionError when `cells` is not one region.
+
+    Each grid vertex has degree 3, so the boundary edges form disjoint
+    simple cycles, one per piece and one per hole.  The least cell's piece
+    P has an outer cycle, the boundary of P with its holes filled (F).  A
+    column of F is a union of runs, each from a cell whose bottom edge is
+    on that cycle up to one whose top edge is, so the sorted bottoms and
+    tops pair off into F's runs.  `cells` is one region exactly when those
+    runs lie in `cells` and hold len(cells) cells: then F is all of
+    `cells`, so there is no other piece, and P has no hole, since a hole
+    in `cells` would have joined P's piece.  If the least cell's first
+    boundary edge faces a hole of P instead, the walk is that hole's
+    cycle, and in each of its columns the first bottom lies above the
+    first top (the cells just above and just below a run of the hole), so
+    the pairing fails.  Only on failure does a flood name the fault."""
     cell = min(cells)
     k = next(k for k, n in enumerate(neighbors(cell)) if n not in cells)
-    letters = _walk_from(cells, cell, k)
-    pairs = sum(((q + 1, r) in cells) + ((q, r + 1) in cells)
-                + ((q + 1, r - 1) in cells) for q, r in cells)
-    if len(letters) != 6 * len(cells) - 2 * pairs:
-        if not is_edge_connected(cells):
-            raise RegionError("region is not edge-connected")
-        raise RegionError("region is not simply connected (hole detected)")
-    return cell, k, letters
+    letters, bottoms, tops = _walk_from(cells, cell, k)
+    bottoms.sort()
+    tops.sort()
+    size = 0
+    for (q, lo), (top_q, hi) in zip(bottoms, tops):
+        if q != top_q or lo > hi or not cells.issuperset(
+                zip(repeat(q), range(lo, hi + 1))):
+            break
+        size += hi - lo + 1
+    else:
+        if size == len(cells):
+            return cell, k, letters
+    if not is_edge_connected(cells):
+        raise RegionError("region is not edge-connected")
+    raise RegionError("region is not simply connected (hole detected)")
 
 
 def _bulk_cell_set(cells: list) -> frozenset | None:
@@ -259,10 +296,10 @@ def region_boundary_word(region: Region) -> BoundaryWord:
         dx, dy = _EDGE_DELTAS[letters[0]]
         x, y = x + dx, y + dy
         letters = letters[1:] + letters[:1]
-    steps = [_STEP_BY_EDGE_PAIR[letters[i:i + 2]]
-             for i in range(0, len(letters), 2)]
-    return BoundaryWord(plane_to_lattice((x, y)),
-                        step_word("".join(reversed(steps))))
+    # the edge pairs of the steps, last step first
+    pairs = map(add, letters[-2::-2], letters[::-2])
+    return BoundaryWord(plane_to_lattice((x, y)), step_word(
+        "".join(map(_STEP_BY_EDGE_PAIR.__getitem__, pairs))))
 
 
 def grow_random_region(rng: Random, n_cells: int) -> Region:
@@ -271,6 +308,10 @@ def grow_random_region(rng: Random, n_cells: int) -> Region:
     Each step adds a random frontier cell whose neighbours in the region
     form one arc of its ring, so the Euler characteristic stays 1 (see
     ring_arcs): the region stays connected and gains no hole."""
+    if type(n_cells) is not int:
+        raise ValueError(f"n_cells must be an int, got {n_cells!r}")
+    if n_cells < 1:
+        raise ValueError("n_cells must be >= 1")
     cells = {(0, 0)}
     fits = sorted(neighbors((0, 0)))  # such frontier cells, kept sorted
     while len(cells) < n_cells:

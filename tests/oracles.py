@@ -6,7 +6,8 @@ word evaluation and word scans by plain Mat2 products (no group table),
 the census's former per-length count over lazily interned matrices, the
 former closure-set and unpruned prenecklace enumerations and
 dict-of-substrings relation reducer,
-the former bounding-box flood for holes, the former per-index region
+the former bounding-box flood for holes, the former pair-count region
+check and its letters-only walk, the former per-index region
 validation, winding numbers by ray crossings,
 the former per-step boundary walk of the sequence check, tiling counts
 by raw subset search,
@@ -23,9 +24,10 @@ import itertools
 
 from hexsbs.cyclo import (IDENTITY, MINUS_IDENTITY, CycInt, Mat2, PMClass,
                           classify_pm)
-from hexsbs.hexgrid import (STEP_DISPLACEMENTS, LatticePoint, Region,
+from hexsbs.hexgrid import (_EDGE_LETTERS, NEIGHBOR_OFFSETS,
+                            STEP_DISPLACEMENTS, LatticePoint, Region,
                             RegionError, _boundary_walk, is_closed,
-                            lattice_to_plane, neighbors)
+                            is_edge_connected, lattice_to_plane, neighbors)
 from hexsbs.search import (_FOLLOWERS, START_LETTERS, RelationRecord,
                            Reduction)
 from hexsbs.tiling import (KINDS, Placement, SequenceReport, StepRecord,
@@ -314,6 +316,43 @@ def flood_is_simply_connected(cells) -> bool:
                 seen.add(n)
                 stack.append(n)
     return seen == outside
+
+
+def letter_walk_from(cells, cell, k: int) -> str:
+    """Edge letters of the boundary cycle from boundary edge k of `cell`,
+    region on the left.  At the head of edge k the walk turns onto edge
+    k + 1 of the same cell, or, if the neighbor across that edge is in
+    `cells`, goes on along that neighbor's edge k - 1."""
+    q0, r0 = q, r = cell
+    k0 = k
+    letters = []
+    while True:
+        letters.append(_EDGE_LETTERS[k])
+        dq, dr = NEIGHBOR_OFFSETS[(k + 1) % 6]
+        if (q + dq, r + dr) in cells:
+            q, r, k = q + dq, r + dr, (k - 1) % 6
+        else:
+            k = (k + 1) % 6
+        if k == k0 and q == q0 and r == r0:
+            return "".join(letters)
+
+
+def pair_count_boundary_walk(cells) -> tuple:
+    """(cell, k, edge letters) of the walk from edge k of `cell`, the least
+    boundary edge.  Each grid vertex has degree 3, so the boundary edges
+    form disjoint simple cycles, one per piece and one per hole; a walk
+    that leaves some unused (6 per cell, less 2 per adjacent pair) is a
+    RegionError, and only then does a flood name the fault."""
+    cell = min(cells)
+    k = next(k for k, n in enumerate(neighbors(cell)) if n not in cells)
+    letters = letter_walk_from(cells, cell, k)
+    pairs = sum(((q + 1, r) in cells) + ((q, r + 1) in cells)
+                + ((q + 1, r - 1) in cells) for q, r in cells)
+    if len(letters) != 6 * len(cells) - 2 * pairs:
+        if not is_edge_connected(cells):
+            raise RegionError("region is not edge-connected")
+        raise RegionError("region is not simply connected (hole detected)")
+    return cell, k, letters
 
 
 def scanning_region_validate(cells, allow_empty: bool = False) -> Region:

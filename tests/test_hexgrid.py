@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -7,17 +8,18 @@ from hypothesis import strategies as st
 from hexsbs.fixtures import (BARBELL_CELLS, BARBELL_WORD, HEX7_CELLS,
                              HEX7_WORD, RING6_CELLS, TILE_WORDS)
 from hexsbs.hexgrid import (STEP_DISPLACEMENTS, STEP_EDGE_DELTAS, Region,
-                            RegionError, _walk_from, cell_center_plane,
-                            grow_random_region, is_closed, is_edge_connected,
-                            lattice_to_plane, neighbors, path_endpoint,
-                            plane_to_lattice, region_boundary_word,
-                            region_from_ascii, region_from_json,
-                            region_validate, ring_arcs)
+                            RegionError, _boundary_walk, _walk_from,
+                            cell_center_plane, grow_random_region, is_closed,
+                            is_edge_connected, lattice_to_plane, neighbors,
+                            path_endpoint, plane_to_lattice,
+                            region_boundary_word, region_from_ascii,
+                            region_from_json, region_validate, ring_arcs)
 from hexsbs.words import (STEP_TO_EDGES, WordError, closure, eval_word,
                           invert_word, step_to_edge, step_word)
 
 from oracles import (euler_characteristic, flood_is_simply_connected,
-                     scanning_region_validate, winding_cells)
+                     pair_count_boundary_walk, scanning_region_validate,
+                     winding_cells)
 
 
 def test_path_endpoint():
@@ -215,6 +217,145 @@ def test_hole_test_on_rings_and_paths():
     assert len(bw.word) == (6 * 300 - 2 * 299) // 2
 
 
+def _runs(cells, cell, k):
+    """The column runs that the walk from edge k of `cell` pairs off:
+    its sorted bottoms and tops, zipped."""
+    _, bottoms, tops = _walk_from(cells, cell, k)
+    return list(zip(sorted(bottoms), sorted(tops)))
+
+
+def _least_start(cells):
+    cell = min(cells)
+    return cell, next(k for k, n in enumerate(neighbors(cell))
+                      if n not in cells)
+
+
+def _ring(center, radius):
+    q0, r0 = center
+    return [(q0 + q, r0 + r) for q in range(-radius, radius + 1)
+            for r in range(-radius, radius + 1)
+            if max(abs(q), abs(r), abs(q + r)) == radius]
+
+
+NOT_CONNECTED = r"^region is not edge-connected$"
+HOLED = r"^region is not simply connected \(hole detected\)$"
+
+
+def test_ring_with_a_hook_and_a_far_cell_fills_to_its_own_size():
+    # the hook makes the least cell's walk the ring's outer cycle; filled,
+    # that piece holds 8 cells, as many as the set, so only the runs'
+    # membership test tells the hole cell from the far cell
+    cells = frozenset(RING6_CELLS + ((-2, 1), (9, 9)))
+    runs = _runs(cells, *_least_start(cells))
+    assert sum(hi - lo + 1 for (_, lo), (_, hi) in runs) == len(cells)
+    assert all(q == top_q and lo <= hi for (q, lo), (top_q, hi) in runs)
+    assert (0, 0) not in cells
+    with pytest.raises(RegionError, match=NOT_CONNECTED):
+        region_validate(cells)
+
+
+def test_ring_walks_its_hole_and_pairs_each_top_below_its_bottom():
+    cells = frozenset(RING6_CELLS)
+    cell, k = _least_start(cells)
+    assert (cell, k) == ((-1, 0), 0)  # facing the hole (0, 0)
+    assert _walk_from(cells, cell, k) == ("BAgbaG", [(0, 1)], [(0, -1)])
+    with pytest.raises(RegionError, match=HOLED):
+        region_validate(cells)
+
+
+@pytest.mark.parametrize("cells", [
+    _ring((0, 0), 2) + [(0, 0)],  # an island inside a lake
+    _ring((0, 0), 2) + [(0, 0), (-3, 1)],  # the same, walked outside
+    _ring((0, 0), 2) + _ring((0, 0), 4) + [(0, 0)],  # nested rings
+    [(0, 0), (0, 1), (1, 0), (0, 4), (0, 5), (1, 3)],  # columns shared
+    [(0, r) for r in range(5)] + [(0, r) for r in range(7, 12)],
+    [(0, 0), (2, 0)],
+])
+def test_pieces_that_a_walk_can_miss_are_not_connected(cells):
+    assert is_edge_connected(cells) is False
+    with pytest.raises(RegionError, match=NOT_CONNECTED):
+        region_validate(cells)
+    with pytest.raises(RegionError, match=NOT_CONNECTED):
+        pair_count_boundary_walk(frozenset(cells))
+
+
+@pytest.mark.parametrize("cells", [
+    _ring((0, 0), 2),
+    _ring((0, 0), 2) + [(-3, 1)],  # walked outside: 20 filled, 13 cells
+    _ring((0, 0), 2) + _ring((0, 0), 1)[:5],  # a hole of one cell
+    _ring((5, -3), 1) + [(5, -1), (5, 0)],
+])
+def test_one_piece_with_a_hole_is_rejected(cells):
+    assert is_edge_connected(cells)
+    with pytest.raises(RegionError, match=HOLED):
+        region_validate(cells)
+
+
+def _serpentine(columns, height):
+    """A thin path up one column, along the top, down the next, ..."""
+    cells = []
+    for i in range(columns):
+        rs = range(height) if i % 2 == 0 else range(height - 1, -1, -1)
+        cells += [(2 * i, r - i) for r in rs]
+        if i + 1 < columns:
+            r = height - 1 - i if i % 2 == 0 else -i
+            cells.append((2 * i + 1, r))
+    return cells
+
+
+@pytest.mark.parametrize("cells", [
+    [(0, r) for r in range(50)],
+    [(q, 0) for q in range(50)],
+    _serpentine(7, 9),
+    _ring((0, 0), 2) + _ring((0, 0), 1) + [(0, 0)],
+])
+def test_thin_and_filled_regions_keep_the_former_walk(cells):
+    assert len(set(cells)) == len(cells)
+    region = region_validate(cells)
+    assert region.walk == pair_count_boundary_walk(region.cells)
+    runs = _runs(region.cells, *region.walk[:2])
+    assert sum(hi - lo + 1 for (_, lo), (_, hi) in runs) == len(cells)
+
+
+def _verdict(walk, cells):
+    try:
+        return walk(cells)
+    except RegionError as e:
+        return str(e)
+
+
+@st.composite
+def _punched_regions(draw):
+    """A grown region with some cells punched out, inner ones or any, and
+    some pieces added, near it or far off."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    cells = set(grow_random_region(rng, draw(st.integers(1, 40))).cells)
+    inner = sorted(c for c in cells if cells.issuperset(neighbors(c)))
+    punch = inner if inner and draw(st.booleans()) else sorted(cells)
+    for cell in draw(st.lists(st.sampled_from(punch), max_size=4)):
+        if len(cells) > 1:
+            cells.discard(cell)
+    for _ in range(draw(st.integers(0, 2))):
+        q, r = draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
+        cells.update(_ring((q, r), draw(st.integers(0, 2))))
+    return frozenset(cells)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_punched_regions())
+def test_run_check_matches_flood_and_pair_count(cells):
+    # the same verdict, and on a region the same kept walk, as the former
+    # check, whose walk shares no code with the package's
+    got = _verdict(_boundary_walk, cells)
+    assert got == _verdict(pair_count_boundary_walk, cells)
+    if not is_edge_connected(cells):
+        assert got == "region is not edge-connected"
+    elif not flood_is_simply_connected(cells):
+        assert got == "region is not simply connected (hole detected)"
+    else:
+        assert got[:2] == _least_start(cells)
+
+
 def test_empty_region_has_no_boundary_word():
     with pytest.raises(RegionError, match="empty region"):
         region_boundary_word(Region(frozenset()))
@@ -254,7 +395,7 @@ def test_boundary_walk_is_the_same_cycle_from_every_start():
                   if n not in region.cells]
         assert len(starts) == len(kept)
         for cell, k in starts:
-            walk = _walk_from(region.cells, cell, k)
+            walk, _, _ = _walk_from(region.cells, cell, k)
             assert len(walk) == len(kept) and walk in kept + kept
 
 
@@ -331,6 +472,22 @@ def test_grow_random_region_valid():
     for _ in range(25):
         region = grow_random_region(rng, 9)
         assert region_validate(region.cells) == region
+
+
+@pytest.mark.parametrize("n_cells, message", [
+    (True, "n_cells must be an int, got True"),
+    (False, "n_cells must be an int, got False"),
+    (2.5, "n_cells must be an int, got 2.5"),
+    (3.0, "n_cells must be an int, got 3.0"),
+    ("3", "n_cells must be an int, got '3'"),
+    (None, "n_cells must be an int, got None"),
+    (0, "n_cells must be >= 1"),
+    (-3, "n_cells must be >= 1"),
+])
+def test_grow_random_region_size_is_strict(n_cells, message):
+    # the former grower gave 1 cell for 0, -3 or True, and 3 for 2.5
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        grow_random_region(random.Random(1), n_cells)
 
 
 def test_grow_random_region_large():

@@ -20,7 +20,8 @@ from hexsbs.fixtures import (CRESCENT_CELLS, CRESCENT_CERTIFICATE,
                              SEQUENCE_2X2X2_MIDDLE,
                              SEQUENCE_2X2X2_MIDDLE_TARGET, TILE_WORDS)
 from hexsbs.hexgrid import (Region, RegionError, grow_random_region,
-                            neighbors, region_boundary_word, region_validate)
+                            neighbors, path_endpoint, region_boundary_word,
+                            region_validate)
 from hexsbs.tiling import (KINDS, ConstructionStep, IntegerLattice, Placement,
                            SignedTiling, StoneProbe, TilingCount,
                            _exact_covers,
@@ -29,7 +30,8 @@ from hexsbs.tiling import (KINDS, ConstructionStep, IntegerLattice, Placement,
                            min_stone_probe, pad_window, signed_tiling_solve,
                            signed_tiling_verify, solve_cell_target,
                            standard_tiling_solve, tile_catalog, tile_shape)
-from hexsbs.words import STEP_GROUP, closure, eval_word, step_word
+from hexsbs.words import (STEP_GROUP, STEP_MATRICES, closure, eval_word,
+                          step_word)
 
 from oracles import (DenseIntegerLattice, anchor_scan_placements,
                      brute_force_tiling_count, flood_is_simply_connected,
@@ -640,9 +642,41 @@ def element_order(m):
 Q8 = frozenset(m for m in STEP_GROUP.elements if element_order(m) in (1, 2, 4))
 
 
+# the coset of each element mod Q8, as the power j of X with m * X^-j in Q8
+X_INV = STEP_MATRICES["x"]
+COSET = {m: next(j for j, r in enumerate((IDENTITY, X_INV, X_INV * X_INV))
+                 if m * r in Q8) for m in STEP_GROUP.elements}
+
+
 def test_q8_is_a_subgroup_of_order_8():
     assert len(Q8) == 8
     assert all(a * b in Q8 for a in Q8 for b in Q8)
+    assert all(g * a * g.inv() in Q8 for g in STEP_GROUP.elements for a in Q8)
+    assert sorted(COSET.values()) == [0] * 8 + [1] * 8 + [2] * 8
+
+
+def test_x_y_and_z_lie_in_one_nontrivial_coset_of_q8():
+    assert {COSET[STEP_MATRICES[ch]] for ch in "XYZ"} == {1}
+    assert {COSET[STEP_MATRICES[ch]] for ch in "xyz"} == {2}
+
+
+def _assert_coset_is_the_endpoint_class(letters):
+    u, v = path_endpoint((0, 0), step_word(letters))
+    assert COSET[eval_word(step_word(letters))] == (v - u) % 3, letters
+
+
+def test_coset_of_every_short_word_is_its_endpoint_class():
+    for n in range(6):
+        for letters in itertools.product("XYZxyz", repeat=n):
+            _assert_coset_is_the_endpoint_class("".join(letters))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="XYZxyz", min_size=6, max_size=60))
+def test_coset_of_a_step_word_is_its_endpoint_class(letters):
+    # SL(2,3)/Q8 is Z/3, and X, Y and Z each map to its generator 1 and
+    # move the endpoint by (u, v) with v - u = 1 mod 3
+    _assert_coset_is_the_endpoint_class(letters)
 
 
 @settings(max_examples=200, deadline=None)
