@@ -136,7 +136,7 @@ def cmd_check_sequence(args) -> int:
     for i, obj in enumerate(data):
         try:
             steps.append(construction_step_from_json(obj))
-        except (KeyError, ValueError) as e:
+        except ValueError as e:
             raise InputError(f"{args.infile}: step {i}: {e}") from e
     report = constructible_sequence_check(steps)
     _emit(report.to_json())

@@ -34,7 +34,7 @@ from itertools import chain, repeat
 from operator import add
 from random import Random
 
-from .words import STEP_TO_EDGES, Word, step_word
+from .words import STEP_TO_EDGES, Word, check_size, step_word
 
 Cell = tuple  # (q, r)
 LatticePoint = tuple  # (u, v)
@@ -291,11 +291,10 @@ def region_boundary_word(region: Region) -> BoundaryWord:
     if not cells:
         raise RegionError("empty region has no boundary word")
     cell, k, letters = region.walk or _boundary_walk(cells)
-    x, y = cell_vertices_plane(cell)[k]
-    if x % 3 != 1:  # align to a shaded tail
-        dx, dy = _EDGE_DELTAS[letters[0]]
-        x, y = x + dx, y + dy
+    if k % 2 == 0:  # corner k of a cell is shaded exactly when k is odd
+        k += 1
         letters = letters[1:] + letters[:1]
+    x, y = cell_vertices_plane(cell)[k]
     # the edge pairs of the steps, last step first
     pairs = map(add, letters[-2::-2], letters[::-2])
     return BoundaryWord(plane_to_lattice((x, y)), step_word(
@@ -308,10 +307,7 @@ def grow_random_region(rng: Random, n_cells: int) -> Region:
     Each step adds a random frontier cell whose neighbours in the region
     form one arc of its ring, so the Euler characteristic stays 1 (see
     ring_arcs): the region stays connected and gains no hole."""
-    if type(n_cells) is not int:
-        raise ValueError(f"n_cells must be an int, got {n_cells!r}")
-    if n_cells < 1:
-        raise ValueError("n_cells must be >= 1")
+    check_size("n_cells", n_cells, 1)
     cells = {(0, 0)}
     fits = sorted(neighbors((0, 0)))  # such frontier cells, kept sorted
     while len(cells) < n_cells:

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from .cyclo import IDENTITY, PMClass
 from .hexgrid import STEP_DISPLACEMENTS, is_closed
 from .words import (STEP_GROUP, STEP_INVERT, STEP_LETTERS,
-                    canonical_representative, closure_variants, eval_letters,
-                    is_least_member, step_word)
+                    canonical_representative, check_size, closure_variants,
+                    eval_letters, is_least_member, step_word)
 
 # canonical_representative is not called here; it stays importable from
 # this module, where the benchmark's tracer wraps it by name
@@ -63,14 +63,8 @@ class SearchConfig:
     partitions: int = 1
 
     def __post_init__(self):
-        for name in ("max_word_length", "partitions"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.max_word_length < 2:
-            raise ValueError("max_word_length must be >= 2")
-        if self.partitions < 1:
-            raise ValueError("partitions must be >= 1")
+        check_size("max_word_length", self.max_word_length, 2)
+        check_size("partitions", self.partitions, 1)
 
 
 def _enumerate_partition(first_letters: str, max_word_length: int) -> list:
@@ -221,10 +215,7 @@ def group_closure_probe(generators, bound: int = 10 ** 6) -> GroupProbeResult:
     """Breadth-first closure of <generators> under multiplication by the
     generators and their inverses, keyed on the matrices themselves for
     dedup; stops (BoundExceeded) once more than `bound` elements appear."""
-    if type(bound) is not int:
-        raise ValueError(f"bound must be an int, got {bound!r}")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    check_size("bound", bound, 1)
     gens = []
     for g in generators:
         gens.append(g)
@@ -262,10 +253,7 @@ def identity_endpoint_lattice(max_length: int, sign: str = "both") -> list:
     set.  Its size is polynomial in the length."""
     if sign not in ("+I", "-I", "both"):
         raise ValueError(f"bad sign filter {sign!r}")
-    if type(max_length) is not int:
-        raise ValueError(f"max_length must be an int, got {max_length!r}")
-    if max_length < 0:
-        raise ValueError("max_length must be >= 0")
+    check_size("max_length", max_length, 0)
     wanted = {"+I": {PMClass.PLUS_IDENTITY},
               "-I": {PMClass.MINUS_IDENTITY},
               "both": {PMClass.PLUS_IDENTITY, PMClass.MINUS_IDENTITY}}[sign]
@@ -316,10 +304,7 @@ def identity_word_census(max_length: int = 16) -> CensusReport:
     Mat2 recount and a brute force, and the benchmark recomputes them
     from its own group.
     """
-    if type(max_length) is not int:
-        raise ValueError(f"max_length must be an int, got {max_length!r}")
-    if max_length < 2:
-        raise ValueError("max_length must be >= 2")
+    check_size("max_length", max_length, 2)
     step, pm = STEP_GROUP.step, STEP_GROUP.pm
     index = {ch: i for i, ch in enumerate(STEP_LETTERS)}
     # sources[6 * element + letter]: the five indices that one more letter

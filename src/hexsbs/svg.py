@@ -27,10 +27,8 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _polygon_points(cell, scale):
-    return " ".join(
-        f"{_fmt(px)},{_fmt(py)}"
-        for px, py in (_xy(p, scale) for p in cell_vertices_plane(cell)))
+def _points(points) -> str:
+    return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
 
 
 class _Doc:
@@ -38,15 +36,12 @@ class _Doc:
         self.body: list[str] = []
         self.points: list[tuple] = []
 
-    def track(self, xy):
-        self.points.append(xy)
-
     def cell_polygon(self, cell, scale, fill, stroke="#333333",
                      extra=""):
-        for p in cell_vertices_plane(cell):
-            self.track(_xy(p, scale))
+        corners = [_xy(p, scale) for p in cell_vertices_plane(cell)]
+        self.points.extend(corners)
         self.body.append(
-            f'<polygon points="{_polygon_points(cell, scale)}" '
+            f'<polygon points="{_points(corners)}" '
             f'fill="{fill}" stroke="{stroke}" stroke-width="1"{extra}/>')
 
     def to_svg(self, defs: str = "") -> str:
@@ -107,18 +102,15 @@ def render_path(word: Word, start=(0, 0), scale: float = 24.0) -> str:
             x, y = x + dx, y + dy
             pts.append((x, y))
     doc = _Doc()
-    for p in pts:
-        doc.track(_xy(p, scale))
-    coords = " ".join(f"{_fmt(px)},{_fmt(py)}"
-                      for px, py in (_xy(p, scale) for p in pts))
+    doc.points = [_xy(p, scale) for p in pts]
     defs = ('<defs><marker id="arrow" viewBox="0 0 10 10" refX="8" refY="5" '
             'markerWidth="6" markerHeight="6" orient="auto-start-reverse">'
             '<path d="M 0 0 L 10 5 L 0 10 z" fill="#d32f2f"/>'
             "</marker></defs>")
-    sx, sy = _xy(pts[0], scale)
+    sx, sy = doc.points[0]
     doc.body.append(
-        f'<polyline points="{coords}" fill="none" stroke="#d32f2f" '
-        f'stroke-width="2" marker-end="url(#arrow)"/>')
+        f'<polyline points="{_points(doc.points)}" fill="none" '
+        f'stroke="#d32f2f" stroke-width="2" marker-end="url(#arrow)"/>')
     doc.body.append(
         f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="3" fill="#1565c0"/>')
     return doc.to_svg(defs)

@@ -20,7 +20,7 @@ from . import fixtures
 from .cyclo import PMClass
 from .hexgrid import (Region, left_cells, neighbors, region_boundary_word,
                       region_validate, ring_arcs)
-from .words import Word, classify_pm, eval_word, step_word
+from .words import Word, check_size, classify_pm, eval_word, step_word
 
 KINDS = ("bone", "stone", "snake")
 
@@ -84,24 +84,24 @@ class Placement:
                 "anchor": list(self.anchor)}
 
 
+def _field(obj: dict, name: str):
+    try:
+        return obj[name]
+    except KeyError:
+        raise ValueError(f"missing field {name!r}") from None
+
+
 def placement_from_json(obj: dict) -> Placement:
     """A placement from {"kind", "orientation", "anchor": [q, r]}; the
     anchor must be a pair of integers, not booleans or floats."""
     if not isinstance(obj, dict):
         raise ValueError(f"{obj!r} is not an object")
-    anchor = obj["anchor"]
+    anchor = _field(obj, "anchor")
     if (not isinstance(anchor, (list, tuple)) or len(anchor) != 2
             or any(type(x) is not int for x in anchor)):
         raise ValueError(f"anchor {anchor!r} is not a pair of integers")
-    return Placement(tile_shape(obj["kind"], obj["orientation"]),
-                     tuple(anchor))
-
-
-def _check_padding(padding: int) -> None:
-    if type(padding) is not int:
-        raise ValueError(f"padding must be an int, got {padding!r}")
-    if padding < 0:
-        raise ValueError("padding must be >= 0")
+    return Placement(tile_shape(_field(obj, "kind"),
+                                _field(obj, "orientation")), tuple(anchor))
 
 
 def _tile_kinds(kinds) -> tuple:
@@ -118,7 +118,7 @@ def _tile_kinds(kinds) -> tuple:
 
 
 def pad_window(cells, padding: int) -> frozenset:
-    _check_padding(padding)
+    check_size("padding", padding, 0)
     window = set(cells)
     for _ in range(padding):
         window |= {n for c in window for n in neighbors(c)}
@@ -174,10 +174,10 @@ class SignedTiling:
         entries = []
         for i, e in enumerate(data):
             try:
-                placement, coeff = placement_from_json(e), e["coeff"]
+                placement, coeff = placement_from_json(e), _field(e, "coeff")
                 if type(coeff) is not int or coeff not in (1, -1):
                     raise ValueError(f"coeff {coeff!r} is not 1 or -1")
-            except (KeyError, ValueError) as err:
+            except ValueError as err:
                 raise ValueError(f"entry {i}: {err}") from err
             entries.append((placement, coeff))
         return cls(tuple(entries))
@@ -344,7 +344,7 @@ def signed_tiling_solve(region: Region, kinds=KINDS, padding: int = 2):
     so such a region is answered None before any placement is made.
     An unknown kind, or a string, raises ValueError before that."""
     kinds = _tile_kinds(kinds)
-    _check_padding(padding)
+    check_size("padding", padding, 0)
     if not region.cells:
         return SignedTiling(())
     if boundary_obstruction_check(region) is PMClass.OTHER:
@@ -464,10 +464,7 @@ def standard_tiling_solve(region: Region, kinds=KINDS, mode: str = "first",
     kinds = _tile_kinds(kinds)
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")
-    if type(cap) is not int:
-        raise ValueError(f"cap must be an int, got {cap!r}")
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
+    check_size("cap", cap, 0)
     if region.cells:
         klass = boundary_obstruction_check(region)
         if klass is PMClass.OTHER or (klass is PMClass.MINUS_IDENTITY
@@ -611,7 +608,7 @@ class StoneProbe:
 
 
 def min_stone_probe(region: Region, padding: int = 2) -> StoneProbe:
-    _check_padding(padding)
+    check_size("padding", padding, 0)
     klass = boundary_obstruction_check(region)
     if klass is PMClass.OTHER:  # no signed tiling, with stones or without
         return StoneProbe(None, klass, None)

@@ -46,6 +46,15 @@ class WordError(ValueError):
         self.position = position
 
 
+def check_size(name: str, value, low: int) -> None:
+    """The library's one rule for a size argument: exactly an int (a bool
+    or a float is refused, never coerced), and at least `low`."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+
+
 @dataclass(frozen=True)
 class Word:
     """A sequence of letters over one alphabet, stored as a plain string."""

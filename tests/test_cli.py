@@ -404,6 +404,9 @@ BONE_STEP = {"action": "add", "kind": "bone", "orientation": "left",
     ([{**BONE_STEP, "action": "move"}], "step 0: bad action 'move'"),
     ([{**BONE_STEP, "orientation": "sideways"}],
      "step 0: unknown tile bone_sideways"),
+    *(([BONE_STEP, {k: v for k, v in BONE_STEP.items() if k != field}],
+       f"step 1: missing field '{field}'")
+      for field in ("kind", "orientation", "anchor")),
 ])
 def test_check_sequence_rejects_malformed_steps(capsys, tmp_path, data,
                                                 where):
@@ -441,6 +444,19 @@ def test_render_tiling_rejects_malformed_entries(capsys, tmp_path, edit,
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert where in err and not out_file.exists()
+
+
+@pytest.mark.parametrize("field", ["kind", "orientation", "anchor", "coeff"])
+def test_render_tiling_names_a_missing_field(capsys, tmp_path, field):
+    data = json.loads((FIXTURES / "crescent_tiling.json").read_text())
+    del data["certificate"][1][field]
+    path, out_file = tmp_path / "bad.json", tmp_path / "bad.svg"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "render", "--subject", "tiling", "--in",
+                            str(path), "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: entry 1: missing field '{field}'\n"
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("region, where", [
@@ -550,6 +566,28 @@ def test_render_determinism_region(capsys, tmp_path):
         invoke(capsys, "render", "--subject", "region", "--in",
                str(FIXTURES / "crescent.json"), "--out", str(out_file))
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the written SVG, so the drawing code can change but not its
+# bytes
+GOLDEN_SVG = {
+    ("region", str(FIXTURES / "hex7.json")):
+        "2c7d4d440ffc147c2098ba27259b3120cb5d9d4c4efdc5424d5776ea7eebca1a",
+    ("tiling", str(FIXTURES / "crescent_tiling.json")):
+        "24161520ac7e03aa40394a6c77ac1c27164f1e1ca9cec307004acab39d87db9e",
+    ("path", "ZyZYzYX"):
+        "9367f2699a891fd5dcd6ce6b8e8437ebb3e44e1399b83517c881b001417b5175",
+}
+
+
+@pytest.mark.parametrize("subject, infile", sorted(GOLDEN_SVG))
+def test_render_matches_golden_hash(capsys, tmp_path, subject, infile):
+    out_file = tmp_path / "out.svg"
+    code, out, _ = invoke(capsys, "render", "--subject", subject, "--in",
+                          infile, "--out", str(out_file))
+    assert (code, out) == (0, "")
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == GOLDEN_SVG[subject, infile]
 
 
 def test_stdout_determinism(capsys):

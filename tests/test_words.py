@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,13 @@ from hypothesis import strategies as st
 
 from hexsbs import fixtures, words
 from hexsbs.cyclo import IDENTITY, MINUS_IDENTITY, PMClass
-from hexsbs.fixtures import (CONJECTURE_MINUS, CONJECTURE_PLUS,
+from hexsbs.fixtures import (CONJECTURE_MINUS, CONJECTURE_PLUS, HEX7_CELLS,
                              TABLE_WORDS, TILE_EDGE_WORDS, TILE_WORDS)
+from hexsbs.hexgrid import grow_random_region, region_validate
+from hexsbs.search import (SearchConfig, group_closure_probe,
+                           identity_endpoint_lattice, identity_word_census)
+from hexsbs.tiling import (min_stone_probe, pad_window, signed_tiling_solve,
+                           standard_tiling_solve)
 from hexsbs.words import (STEP_GROUP, STEP_MATRICES, TILE_CLASSES,
                           ClosureClass, Word,
                           WordError, canonical_representative, classify_pm,
@@ -352,3 +358,42 @@ def test_closure_class_json():
     assert sorted(cls.members) == sorted("XYZxyz")
     assert isinstance(cls, ClosureClass)
     assert Word("step", "Y") in cls
+
+
+HEX7 = region_validate(HEX7_CELLS)
+# every size argument of the library: (name, floor, call with the size)
+SIZES = {
+    "grow_random_region": ("n_cells", 1,
+                           lambda v: grow_random_region(random.Random(1), v)),
+    "SearchConfig max_word_length": ("max_word_length", 2,
+                                     lambda v: SearchConfig(v)),
+    "SearchConfig partitions": ("partitions", 1,
+                                lambda v: SearchConfig(8, v)),
+    "group_closure_probe": ("bound", 1,
+                            lambda v: group_closure_probe([IDENTITY], v)),
+    "identity_endpoint_lattice": ("max_length", 0,
+                                  identity_endpoint_lattice),
+    "identity_word_census": ("max_length", 2, identity_word_census),
+    "pad_window": ("padding", 0, lambda v: pad_window(HEX7.cells, v)),
+    "signed_tiling_solve": ("padding", 0,
+                            lambda v: signed_tiling_solve(HEX7, padding=v)),
+    "min_stone_probe": ("padding", 0, lambda v: min_stone_probe(HEX7, v)),
+    "standard_tiling_solve first": ("cap", 0,
+                                    lambda v: standard_tiling_solve(
+                                        HEX7, cap=v)),
+    "standard_tiling_solve count": ("cap", 0,
+                                    lambda v: standard_tiling_solve(
+                                        HEX7, mode="count", cap=v)),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, 2.5, "2", None, "floor"])
+@pytest.mark.parametrize("entry", sorted(SIZES))
+def test_every_size_has_the_one_rule_and_wording(entry, value):
+    name, floor, call = SIZES[entry]
+    if value == "floor":
+        value, message = floor - 1, f"{name} must be >= {floor}"
+    else:
+        message = f"{name} must be an int, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
