@@ -49,6 +49,9 @@ def _build_catalog() -> tuple:
         walked = region_boundary_word(region_validate(cells)).word.letters
         assert len(walked) == len(letters) and walked in letters * 2, name
         assert (0, 0) in cells and len(cells) in (3, 4), name
+        # colour (q, r) by (q - r) mod 3: the three counts' parities agree
+        assert len({sum((q - r) % 3 == k for q, r in cells) % 2
+                    for k in range(3)}) == 1, name
         shapes.append(TileShape(kind, orientation, i, cells,
                                 tuple(sorted(cells)), word))
     return tuple(shapes)
@@ -202,14 +205,12 @@ def signed_tiling_verify(region: Region, tiling: SignedTiling):
     return None
 
 
-def _tile_indices(placements, index: dict) -> list:
+def _tile_indices(placements, index: dict):
     """Each placement's cells as their numbers in `index`, read from the
-    anchor plus the shape's offsets, in offset order."""
-    out = []
+    anchor plus the shape's offsets, in offset order, one at a time."""
     for p in placements:
         aq, ar = p.anchor
-        out.append([index[q + aq, r + ar] for q, r in p.shape.offsets])
-    return out
+        yield [index[q + aq, r + ar] for q, r in p.shape.offsets]
 
 
 def _subtract(row: dict, q: int, base: dict) -> None:
@@ -223,68 +224,88 @@ def _subtract(row: dict, q: int, base: dict) -> None:
 
 
 class IntegerLattice:
-    """Row lattice of placement indicator vectors, in Hermite normal form.
+    """Row lattice of placement indicator vectors, in echelon form.
 
     Each placement is one sparse row over the window cells, keyed 0..m-1
     in sorted cell order and read from its anchor plus its shape's
-    offsets, with no cell set built.  A row keeps the name of the
-    placement it started as, in `_ids`, while swaps move it.  The rows
-    are reduced by integer row operations, and each is appended to one
-    flat log instead of being applied to a transform, as (i, q, b):
-    placement i's row -= q * placement b's row.  A swap logs nothing, and
-    a negation is (i, 2, i).  Targets are integer vectors over the window
-    cells; membership comes from forward substitution along the HNF rows,
-    and a particular solution from replaying the log backwards on the
-    pivot coefficients.  Exact big-integer arithmetic throughout.
+    offsets, with no cell set built.  The rows are inserted one at a
+    time, in placement order, into a basis that maps a leading column to
+    (row, placement).  At its leading column a row takes q times the
+    basis row off; if a remainder is left there, the row takes the pivot
+    and the former basis row carries on being reduced, as in Euclid.
+    Each row operation is appended to one flat log instead of being
+    applied to a transform, as (i, q, b): placement i's row -= q *
+    placement b's row.  A negation, of a row that lands on a free column
+    with a negative lead, is (i, 2, i).  A row's operations are logged
+    only once it holds a pivot: a row reduced to zero is never a basis
+    row again, so the backward replay reaches its later operations with
+    its coefficient still 0, and they are dropped.
+
+    Colour cell (q, r) by (q - r) mod 3: every tile covers the three
+    colours with equal parity, so the window lattice lies inside the
+    vectors whose colour sums have equal parity, which have index 4 in
+    Z^m when the window holds two or more colours and 2 when it holds
+    one.  The basis lattice lies inside the window lattice, so once its
+    rank is m and its pivots multiply to that index all three are equal.
+    Every later row then reduces to zero without taking a pivot, and the
+    insertion stops there, with the basis, and so every certificate, that
+    inserting all rows would give; `rows_used` counts the rows inserted.
+    Kind sets without snakes, snakes alone and tiny windows never reach
+    the index and insert every row.
+
+    Targets are integer vectors over the window cells; membership comes
+    from forward substitution along the basis in column order, and a
+    particular solution from replaying the log backwards on the pivot
+    coefficients.  Exact big-integer arithmetic throughout.
     """
 
     def __init__(self, placements, window):
         self.placements = list(placements)
         self.cells = sorted(window)
         self._cell_index = {c: i for i, c in enumerate(self.cells)}
-        n, m = len(self.placements), len(self.cells)
-        rows = [dict.fromkeys(t, 1)
-                for t in _tile_indices(self.placements, self._cell_index)]
-        ids = list(range(n))
+        m = len(self.cells)
+        index = 1 << min(len({(q - r) % 3 for q, r in self.cells}), 2)
+        basis = {}  # leading column -> (row, placement)
         log = []
-        pivots = []
-        piv = 0
-        for col in range(m):
-            if piv == n:
+        det = 1  # the product of the pivots
+        used = 0
+        for i, t in enumerate(_tile_indices(self.placements,
+                                            self._cell_index)):
+            if len(basis) == m and det == index:
                 break
-            # gcd-eliminate column entries below the pivot row
-            nz = [i for i in range(piv, n) if col in rows[i]]
-            if not nz:
-                continue
-            while len(nz) > 1:
-                nz.sort(key=lambda i: abs(rows[i][col]))
-                b = nz[0]
-                base = rows[b]
-                for i in nz[1:]:
-                    q = rows[i][col] // base[col]
-                    if q:
-                        _subtract(rows[i], q, base)
-                        log.append((ids[i], q, ids[b]))
-                nz = [i for i in nz if col in rows[i]]
-            src = nz[0]
-            rows[piv], rows[src] = rows[src], rows[piv]
-            ids[piv], ids[src] = ids[src], ids[piv]
-            if rows[piv][col] < 0:
-                rows[piv] = {k: -a for k, a in rows[piv].items()}
-                log.append((ids[piv], 2, ids[piv]))
-            pivots.append((piv, col))
-            piv += 1
-        self._rows = rows
-        self._pivots = pivots
-        self._ids = ids
+            used += 1
+            row = dict.fromkeys(t, 1)
+            ops = []  # the row's operations since it last held a pivot
+            while row:
+                col = min(row)
+                if col not in basis:
+                    if row[col] < 0:
+                        row = {k: -a for k, a in row.items()}
+                        ops.append((i, 2, i))
+                    basis[col] = row, i
+                    det *= row[col]
+                    log += ops
+                    break
+                base, b = basis[col]
+                q = row[col] // base[col]
+                if q:
+                    _subtract(row, q, base)
+                    ops.append((i, q, b))
+                if col in row:  # a remainder: the row takes the pivot
+                    det = det // base[col] * row[col]
+                    basis[col] = row, i
+                    log += ops
+                    row, i, ops = base, b, []
+        self._basis = [(c, *basis[c]) for c in sorted(basis)]
         self._log = log
+        self.rows_used = used
 
     def solve(self, target: dict):
         """Integer coefficients x with sum x_i * placement_i = target, or
         None if the target is outside the lattice (window-relative).
 
         Forward substitution writes the target as sum y_k * row_k over
-        the pivot rows, each named by its placement k; as row_k =
+        the basis rows, each named by its placement k; as row_k =
         sum_j T[k][j] * placement_j for the logged operations' product T,
         x is T transposed times y, which the log read backwards builds one
         operation at a time.
@@ -294,13 +315,12 @@ class IntegerLattice:
             return None
         resid = {index[c]: v for c, v in target.items() if v}
         y = [0] * len(self.placements)
-        for pr, pc in self._pivots:
-            if pc not in resid:
+        for col, row, k in self._basis:
+            if col not in resid:
                 continue
-            row = self._rows[pr]
-            if resid[pc] % row[pc]:
+            if resid[col] % row[col]:
                 return None
-            y[self._ids[pr]] = t = resid[pc] // row[pc]
+            y[k] = t = resid[col] // row[col]
             _subtract(resid, t, row)
         if resid:
             return None
@@ -382,7 +402,8 @@ def _exact_covers(cells, placements):
     """
     order = sorted(cells)
     n = len(order)
-    tiles = _tile_indices(placements, {c: i for i, c in enumerate(order)})
+    tiles = list(_tile_indices(placements,
+                               {c: i for i, c in enumerate(order)}))
     cands = [[] for _ in range(n)]  # cell -> placements, in their order
     for i, t in enumerate(tiles):
         for c in t:
@@ -492,9 +513,10 @@ class ConstructionStep:
 
 def construction_step_from_json(obj: dict) -> ConstructionStep:
     placement = placement_from_json(obj)
-    if obj.get("action") not in ("add", "remove"):
-        raise ValueError(f"bad action {obj.get('action')!r}")
-    return ConstructionStep(obj["action"], placement)
+    action = _field(obj, "action")
+    if action not in ("add", "remove"):
+        raise ValueError(f"bad action {action!r}")
+    return ConstructionStep(action, placement)
 
 
 @dataclass(frozen=True)

@@ -406,7 +406,7 @@ BONE_STEP = {"action": "add", "kind": "bone", "orientation": "left",
      "step 0: unknown tile bone_sideways"),
     *(([BONE_STEP, {k: v for k, v in BONE_STEP.items() if k != field}],
        f"step 1: missing field '{field}'")
-      for field in ("kind", "orientation", "anchor")),
+      for field in ("kind", "orientation", "anchor", "action")),
 ])
 def test_check_sequence_rejects_malformed_steps(capsys, tmp_path, data,
                                                 where):
@@ -654,17 +654,18 @@ def test_cli_import_loads_no_process_pool():
 
 # sha256 over "<exit code>\n<stdout>" of each run, for every region
 # fixture: solve-signed at paddings 0-2 with all kinds and with
-# bone,snake, probe-stones at paddings 0-2.  Pinned from the lattice that
-# carried each placement's transform in its rows, so the certificates and
-# probes stay byte-identical whatever the elimination keeps.
+# bone,snake, probe-stones at paddings 0-2.  The probes, and every
+# solve-signed answer in or out of the window, were pinned from the
+# lattice that carried each placement's transform in its rows; the
+# solve-signed certificates are those of the row-insertion basis.
 GOLDEN_SIGNED_STDOUT = {
-    ("solve-signed", "bone.json"): "5c7a69888fd74804eec8a9fe607dd32855cf9857a9ab5c01bc4fd60832e0fc59",
+    ("solve-signed", "bone.json"): "6dddbb01360aedcf37c8a4d045d12538fcc96957dd09a467aa8416f61563bf69",
     ("probe-stones", "bone.json"): "b1e2f1450bb80d91a0221c09c131d19006044450fa2c1b41d1393d047f2efbcb",
-    ("solve-signed", "crescent.json"): "20f28c30c9e745a86dbc7416b0df0331a37cde604efba3fa8c659de72029d5b7",
+    ("solve-signed", "crescent.json"): "6cd2a47f86eaea0f01aac834e63288d29f0f7d32ede6a888296091d79c5ca666",
     ("probe-stones", "crescent.json"): "6fd54d328b381446f9b27fbcca68bcf9851ba63ad2af69e63cabd5e75cc2bd2f",
-    ("solve-signed", "hex7.json"): "0bcc4eddec846b45b11d2ebc782cf7bf5052c3a953c785d3b4a03a888d2fbbd1",
+    ("solve-signed", "hex7.json"): "6cacdf623a6ab3b12b4edf2c832579ea9f8a65b76828dba499f728269daf902b",
     ("probe-stones", "hex7.json"): "8c74c4a27b21545618d2f0b527cf55dc7f99ad56d85ed24a70bd2e0a75bef9b6",
-    ("solve-signed", "hex7.txt"): "f43e58c9da88d43a10c3912f669aa7c508a2c87d2bbefb629a45b1c9f8961f01",
+    ("solve-signed", "hex7.txt"): "584f2bd71ddb68025c13bf75f64d63aa24105588b315ac012b68942093d38c96",
     ("probe-stones", "hex7.txt"): "8c74c4a27b21545618d2f0b527cf55dc7f99ad56d85ed24a70bd2e0a75bef9b6",
     ("solve-signed", "single_cell.json"): "f4606b1dbb3133d16cf62a0ff96c17eacd31753b247e7fa07ef432903dedfdef",
     ("probe-stones", "single_cell.json"): "dc1bf32fc71cab79cf058cdff73b06fe284173a8f9011b6ae3942e7cde2921d9",

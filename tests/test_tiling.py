@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import math
 import random
 import re
 import sys
@@ -222,24 +223,40 @@ def test_integer_lattice_rejects_unreachable():
     assert lattice.solve({(0, 0): 1}) is None
 
 
+def net_of(placements, x) -> dict:
+    """The non-zero net coverage of sum x_i * placement_i."""
+    net = {}
+    for placement, xi in zip(placements, x):
+        for cell in placement.cells():
+            net[cell] = net.get(cell, 0) + xi
+    return {c: v for c, v in net.items() if v}
+
+
 def assert_lattice_matches_dense(placements, window, targets):
-    """The sparse lattice has the dense oracle's HNF entry for entry, its
-    operation log, all (i, q, b) over placement numbers, replayed on
-    identity rows and reordered by its ids is the dense transform, and it
-    returns the same coefficient list (or None) for every target."""
-    sparse = IntegerLattice(placements, window)
+    """The lattice has the dense oracle's pivot columns and positive pivot
+    values, the diagonal of the Hermite normal form, which the lattice
+    alone fixes for a fixed column order; its operation log, all
+    (i, q, b) over placement numbers, replayed on identity rows turns the
+    placements into its basis rows; it answers each target in or out as
+    the dense oracle does, and every x it returns reproduces the target."""
+    lattice = IntegerLattice(placements, window)
     dense = DenseIntegerLattice(placements, window)
     n = len(placements)
-    assert sparse._pivots == dense._pivots
-    assert sparse._rows == [{k: v for k, v in enumerate(row) if v}
-                            for row in dense._rows]
-    assert sorted(sparse._ids) == list(range(n))
+    assert [(col, row[col]) for col, row, _ in lattice._basis] == \
+        [(col, dense._rows[r][col]) for r, col in dense._pivots]
     assert all(len(op) == 3 and all(type(a) is int for a in op)
-               and 0 <= op[0] < n and 0 <= op[2] < n for op in sparse._log)
-    assert transform_from_log(sparse._log, sparse._ids, n) == \
-        dense._transform
-    answers = [sparse.solve(t) for t in targets]
-    assert answers == [dense.solve(t) for t in targets]
+               and 0 <= op[0] < n and 0 <= op[2] < n for op in lattice._log)
+    transform = transform_from_log(lattice._log, n)
+    for col, row, k in lattice._basis:
+        assert net_of(placements, transform[k]) == \
+            {lattice.cells[c]: v for c, v in row.items()}
+    answers = [lattice.solve(t) for t in targets]
+    for target, x, want in zip(targets, answers,
+                               (dense.solve(t) for t in targets)):
+        assert (x is None) == (want is None)
+        if x is not None:
+            assert net_of(placements, x) == \
+                {c: v for c, v in target.items() if v}
     return answers
 
 
@@ -310,6 +327,63 @@ def test_lattice_matches_dense_oracle_on_integer_targets():
         assert got[-3:] == [None] * 3
         answers += got
     assert sum(x is None for x in answers) < len(answers)
+
+
+KIND_SETS = [kinds for n in (1, 2, 3)
+             for kinds in itertools.combinations(KINDS, n)]
+
+
+@pytest.mark.parametrize("kinds", KIND_SETS, ids=",".join)
+def test_lattice_pivots_match_dense_for_every_kind_set(kinds):
+    rng = random.Random(63)
+    for _ in range(8):
+        region = grow_random_region(rng, rng.randrange(1, 10))
+        window = pad_window(region.cells, rng.choice([0, 1, 2]))
+        assert_lattice_matches_dense(enumerate_placements(window, kinds),
+                                     window, [{c: 1 for c in region.cells}])
+
+
+def _pivot_product(lattice):
+    return math.prod(row[col] for col, row, _ in lattice._basis)
+
+
+@pytest.mark.parametrize("kinds", [KINDS, ("bone", "snake")],
+                         ids=",".join)
+def test_lattice_stops_at_the_colour_index(kinds):
+    # hex7 padded by 2 holds all three colours, so the lattice of the
+    # vectors with equal colour parities has index 4
+    window = pad_window(HEX7_CELLS, 2)
+    placements = enumerate_placements(window, kinds)
+    lattice = IntegerLattice(placements, window)
+    assert len(lattice._basis) == len(window)
+    assert _pivot_product(lattice) == 4
+    assert lattice.rows_used < len(placements)
+
+
+def test_bones_alone_insert_every_row():
+    window = pad_window(HEX7_CELLS, 2)
+    placements = enumerate_placements(window, ("bone",))
+    lattice = IntegerLattice(placements, window)
+    assert lattice.rows_used == len(placements)
+    assert len(lattice._basis) < len(window) or _pivot_product(lattice) > 4
+
+
+def colour_counts(cells) -> list:
+    """How many cells of each colour (q - r) mod 3 there are."""
+    return [sum((q - r) % 3 == k for q, r in cells) for k in range(3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), size=st.integers(1, 60),
+       built=st.booleans())
+def test_class_is_pm_identity_exactly_when_colour_parities_agree(
+        seed, size, built):
+    rng = random.Random(seed)
+    region = (tile_built_region(rng, 1 + size // 5) if built
+              else grow_random_region(rng, size))
+    agree = len({c % 2 for c in colour_counts(region.cells)}) == 1
+    assert agree == (boundary_obstruction_check(region)
+                     is not PMClass.OTHER)
 
 
 def test_signed_tiling_hex7_without_stones():

@@ -361,7 +361,10 @@ def test_closure_class_json():
 
 
 HEX7 = region_validate(HEX7_CELLS)
-# every size argument of the library: (name, floor, call with the size)
+OBSTRUCTED = region_validate([(0, 0)])  # Other: answered without a window
+EMPTY = region_validate([], allow_empty=True)
+# every size argument of the library: (name, floor, call with the size),
+# padding and cap also on regions that the boundary gate answers early
 SIZES = {
     "grow_random_region": ("n_cells", 1,
                            lambda v: grow_random_region(random.Random(1), v)),
@@ -377,22 +380,37 @@ SIZES = {
     "pad_window": ("padding", 0, lambda v: pad_window(HEX7.cells, v)),
     "signed_tiling_solve": ("padding", 0,
                             lambda v: signed_tiling_solve(HEX7, padding=v)),
+    "signed_tiling_solve Other": ("padding", 0,
+                                  lambda v: signed_tiling_solve(
+                                      OBSTRUCTED, padding=v)),
+    "signed_tiling_solve empty": ("padding", 0,
+                                  lambda v: signed_tiling_solve(
+                                      EMPTY, padding=v)),
     "min_stone_probe": ("padding", 0, lambda v: min_stone_probe(HEX7, v)),
+    "min_stone_probe Other": ("padding", 0,
+                              lambda v: min_stone_probe(OBSTRUCTED, v)),
     "standard_tiling_solve first": ("cap", 0,
                                     lambda v: standard_tiling_solve(
                                         HEX7, cap=v)),
     "standard_tiling_solve count": ("cap", 0,
                                     lambda v: standard_tiling_solve(
                                         HEX7, mode="count", cap=v)),
+    "standard_tiling_solve count Other": ("cap", 0,
+                                          lambda v: standard_tiling_solve(
+                                              OBSTRUCTED, mode="count",
+                                              cap=v)),
 }
 
 
-@pytest.mark.parametrize("value", [True, False, 2.5, "2", None, "floor"])
+@pytest.mark.parametrize("value",
+                         [True, False, 2.5, 3.0, "2", None, -3, "floor"])
 @pytest.mark.parametrize("entry", sorted(SIZES))
 def test_every_size_has_the_one_rule_and_wording(entry, value):
     name, floor, call = SIZES[entry]
     if value == "floor":
-        value, message = floor - 1, f"{name} must be >= {floor}"
+        value = floor - 1
+    if type(value) is int:
+        message = f"{name} must be >= {floor}"
     else:
         message = f"{name} must be an int, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
