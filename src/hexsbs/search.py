@@ -8,9 +8,12 @@ words "X" + w a letter at a time, only along the prefixes a least member
 can have, and records a word that evaluates to +-I when no member of its
 class sorts before it.  Once a prefix has left its leading run of X, no
 letter's run may grow longer than that run: some variant maps the letter
-to X, and so has a member that sorts first.  No closure set is built; the
-tests check the output against the former closure-set and unpruned
-prenecklace enumerations and a naive oracle.
+to X, and so has a member that sorts first.  The level before the last
+grows only the prefixes whose group state some letter closes to +-I, as
+the others have no word to record.  The least-member test compares only
+the members that start with the word's leading run of X.  No closure set
+is built; the tests check the output against the former closure-set and
+unpruned prenecklace enumerations and a naive oracle.
 
 Words are evaluated on the table of the group the step matrices generate,
 words.STEP_GROUP (SL(2,3), order 24, built once at import): the search
@@ -22,14 +25,13 @@ visiting the words one by one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .cyclo import IDENTITY, PMClass
-from .hexgrid import STEP_DISPLACEMENTS, is_closed
+from .hexgrid import STEP_DISPLACEMENTS
 from .words import (STEP_GROUP, STEP_INVERT, STEP_LETTERS,
                     canonical_representative, check_size, closure_variants,
-                    eval_letters, is_least_member, step_word)
+                    eval_letters, is_least_member)
 
 # canonical_representative is not called here; it stays importable from
 # this module, where the benchmark's tracer wraps it by name
@@ -54,7 +56,12 @@ class RelationRecord:
                 "value": self.value.value, "closed": self.closed}
 
     def jsonl(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
+        # json.dumps(self.to_json(), sort_keys=True), written out: a step
+        # word and a PMClass value need no escapes
+        return (f'{{"closed": {"true" if self.closed else "false"}, '
+                f'"length": {self.length}, '
+                f'"representative": "{self.representative}", '
+                f'"value": "{self.value.value}"}}')
 
 
 @dataclass(frozen=True)
@@ -89,7 +96,8 @@ def _enumerate_partition(first_letters: str, max_word_length: int) -> list:
         # one of the six variants, so a longer run gives a member that
         # starts with more X and sorts first.  The children that close
         # are kept, and only those with children of their own are grown:
-        # the last level makes no call.
+        # the last level makes no call, and the level before it skips a
+        # child whose state no letter closes.
         n, last = len(u), u[-1]
         floor = u[n - period]
         capped = last if lead < n and run == lead else ""
@@ -99,15 +107,28 @@ def _enumerate_partition(first_letters: str, max_word_length: int) -> list:
                     and is_least_member(u + ch)):
                 found.append((u + ch, k))
         if n + 2 <= max_word_length:
+            deepest = n + 2 == max_word_length
             for ch in letters:
                 if ch >= floor and ch != capped:
-                    visit(u + ch, step[ch][state], _FOLLOWERS[ch],
+                    child = step[ch][state]
+                    if deepest and not closers[child]:
+                        continue
+                    visit(u + ch, child, _FOLLOWERS[ch],
                           period if ch == floor else n + 1,
                           lead + 1 if lead == n and ch == "X" else lead,
                           run + 1 if ch == last else 1)
 
     visit("X", 0, first_letters, 1, 1, 1)
     return found
+
+
+def _closes(letters: str) -> bool:
+    """Whether a step word's path returns to its start.  The displacements
+    of X, Y and Z sum to zero and X, Y are independent, so the path
+    closes exactly when #X - #x = #Y - #y = #Z - #z."""
+    count = letters.count
+    return (count("X") - count("x") == count("Y") - count("y")
+            == count("Z") - count("z"))
 
 
 def enumerate_identity_words(cfg: SearchConfig = SearchConfig()) -> list:
@@ -119,7 +140,7 @@ def enumerate_identity_words(cfg: SearchConfig = SearchConfig()) -> list:
     """
     groups = [START_LETTERS[i::cfg.partitions]
               for i in range(min(cfg.partitions, len(START_LETTERS)))]
-    records = [RelationRecord(rep, value, len(rep), is_closed(step_word(rep)))
+    records = [RelationRecord(rep, value, len(rep), _closes(rep))
                for group in groups
                for rep, value in _enumerate_partition(group,
                                                       cfg.max_word_length)]
@@ -154,12 +175,14 @@ def reduce_relation_list(records) -> Reduction:
     would have been the earliest.  So each accepted relation keeps one set,
     its cyclic windows of length h under the six rotations and inversions.
     The set is closed under those, so a record tests only its own windows,
-    built once for each distinct h, and the factor is the least variant of
-    a shared one."""
+    built once for each distinct h.  The set is kept as a dict from each
+    variant to the least variant of its window's orbit, which is the same
+    for every member of that orbit, so the factor is the least value of a
+    shared window."""
     records = list(records)
     if records != sorted(records, key=lambda r: (r.length, r.representative)):
         raise ValueError("records must be sorted shortest-first")
-    accepted = []  # of (h, windows of length h, representative)
+    accepted = []  # of (h, {window variant: least variant}, representative)
     survivors = []
     casualties = []
     for record in records:
@@ -168,19 +191,20 @@ def reduce_relation_list(records) -> Reduction:
         for h, windows, source in accepted:
             if h not in own:
                 own[h] = _windows(w, h)
-            shared = own[h] & windows
+            shared = own[h] & windows.keys()
             if shared:
-                factor = min(var for window in shared
-                             for var in closure_variants(window))
+                factor = min(windows[window] for window in shared)
                 casualties.append((record, factor, source))
                 break
         else:
             survivors.append(record)
             if len(w) > 1:  # factors have at least two letters
                 h = len(w) // 2 + 1
-                accepted.append((h, {var for window in _windows(w, h)
-                                     for var in closure_variants(window)},
-                                 w))
+                least = {}
+                for window in _windows(w, h):
+                    orbit = tuple(closure_variants(window))
+                    least.update(dict.fromkeys(orbit, min(orbit)))
+                accepted.append((h, least, w))
     return Reduction(tuple(survivors), tuple(casualties))
 
 

@@ -135,14 +135,25 @@ class ClosureClass:
         return letters in self.members
 
 
+# the six variants of a word, in the order closure_variants yields them:
+# (source letter, reversed?, letter map), where the variant is the word,
+# reversed or not, under the letter map, and the map takes the source
+# letter to X.  The three rotations X -> Y -> Z, each followed by its
+# inverse.
+_VARIANT_MAPS = tuple(
+    (STEP_LETTERS[image.index("X")], flip,
+     str.maketrans(STEP_LETTERS, image))
+    for rotated in ("XYZxyz", "YZXyzx", "ZXYzxy")
+    for flip, image in ((False, rotated),
+                        (True, rotated.translate(STEP_INVERT))))
+
+
 def closure_variants(letters: str):
     """The six words whose cyclic shifts make up the closure class: the
     word and its two 120-degree rotations, each followed by its inverse."""
-    base = letters
-    for _ in range(3):
-        yield base
-        yield base[::-1].translate(STEP_INVERT)
-        base = base.translate(_STEP_ROTATE)
+    backwards = letters[::-1]
+    for _, flip, table in _VARIANT_MAPS:
+        yield (backwards if flip else letters).translate(table)
 
 
 def _shifts(letters: str):
@@ -169,18 +180,29 @@ def canonical_representative(letters: str) -> str:
 def is_least_member(letters: str) -> bool:
     """Whether letters is the least member of its closure class.
 
-    A member starts at some position of one of the six variants, and only
-    the members that start with X can be less than a word that does; a
-    word that does not start with X is beaten by any that does.  The
-    comparisons stop at the first smaller member."""
+    Let lead be the word's leading run of X.  A member that sorts before
+    the word starts with that run too, since X is the least letter; a
+    word that does not start with X is beaten by any member that does,
+    and every non-empty class has one.  So only the variants whose source
+    letter (the one they map to X) has a run of lead letters in the word
+    are built, and only their shifts that start with lead X are compared.
+    The word starts with X, so a run of any other source letter cannot
+    wrap around its end.  The comparisons stop at the first smaller
+    member."""
     n = len(letters)
-    for var in closure_variants(letters):
-        doubled = var + var
-        i = var.find("X")
-        while i >= 0:
-            if doubled[i:i + n] < letters:
-                return False
-            i = var.find("X", i + 1)
+    head = letters[:n - len(letters.lstrip("X"))]
+    if not head:
+        return not letters
+    lead = len(head)
+    backwards = letters[::-1]
+    for src, flip, table in _VARIANT_MAPS:
+        if src * lead in letters:
+            doubled = (backwards if flip else letters).translate(table) * 2
+            i = doubled.find(head)
+            while 0 <= i < n:
+                if doubled[i:i + n] < letters:
+                    return False
+                i = doubled.find(head, i + 1)
     return True
 
 

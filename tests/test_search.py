@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from hexsbs import search
 from hexsbs.cyclo import IDENTITY, PMClass
 from hexsbs.fixtures import CONJECTURE_MINUS, CONJECTURE_PLUS, TABLE_WORDS
+from hexsbs.hexgrid import is_closed
 from hexsbs.search import (CensusReport, GroupProbeResult, RelationRecord,
                            SearchConfig, enumerate_identity_words,
                            group_closure_probe, identity_endpoint_lattice,
                            identity_word_census, reduce_relation_list,
                            verify_reduction_table)
 from hexsbs.words import (STEP_GROUP, STEP_MATRICES, canonical_representative,
-                          eval_letters, is_least_member)
+                          eval_letters, is_least_member, step_word)
 
 from oracles import (INVERSE, census_counts_by_length, closure_set,
                      closure_set_identity_words, coset_trace,
@@ -131,6 +132,45 @@ def test_run_rule_and_necklace_skip_spare_least_member_calls(monkeypatch):
     monkeypatch.setattr(search, "is_least_member", counted)
     assert len(enumerate_identity_words(SearchConfig(8))) == 882
     assert len(calls) == 1735
+
+
+class _CountedLookups(dict):
+    def __init__(self, items):
+        super().__init__(items)
+        self.lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("max_len, visits", [(8, 4317), (10, 76445)])
+def test_last_level_skips_states_no_letter_closes(monkeypatch, max_len,
+                                                  visits):
+    # regression pin: every visit but the root's looks up the followers of
+    # its last letter.  Without the skip the search makes 7,641 visits at
+    # length 8 and 138,321 at length 10, for the same classes
+    followers = _CountedLookups(search._FOLLOWERS)
+    monkeypatch.setattr(search, "_FOLLOWERS", followers)
+    records = enumerate_identity_words(SearchConfig(max_len))
+    assert len(records) == {8: 882, 10: 17548}[max_len]
+    assert followers.lookups + 1 == visits
+
+
+@pytest.fixture(scope="module")
+def records9():
+    return enumerate_identity_words(SearchConfig(9))
+
+
+def test_jsonl_is_the_sorted_json_dump(records9):
+    for r in records9:
+        assert r.jsonl() == json.dumps(r.to_json(), sort_keys=True)
+
+
+def test_closed_by_letter_counts_matches_the_path_walk(records9):
+    assert {r.closed for r in records9} == {True, False}
+    for r in records9:
+        assert r.closed == is_closed(step_word(r.representative)), r
 
 
 @st.composite

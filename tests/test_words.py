@@ -157,6 +157,26 @@ def test_least_member_test_matches_closure_min(letters):
 
 
 @settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="XYZxyz", min_size=1, max_size=16))
+def test_least_member_test_matches_canonical_representative(letters):
+    # any first letter, reduced or not: a word led by another letter, or
+    # by a shorter run of X than some member, is never least
+    assert is_least_member(letters) == \
+        (canonical_representative(letters) == letters)
+
+
+def test_least_member_test_on_every_short_x_led_word():
+    words_tested = 0
+    for n in range(1, 7):
+        for tail in itertools.product("XYZxyz", repeat=n - 1):
+            letters = "X" + "".join(tail)
+            assert is_least_member(letters) == \
+                (min(closure_set(letters)) == letters), letters
+            words_tested += 1
+    assert words_tested == 9331
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="XYZxyz", max_size=16))
 def test_canonical_representative_is_closure_min(letters):
     assert closure_members(letters) == closure_set(letters)
