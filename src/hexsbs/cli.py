@@ -26,7 +26,7 @@ from .tiling import (KINDS, SignedTiling, boundary_obstruction_check,
                      construction_step_from_json, min_stone_probe,
                      signed_tiling_solve, signed_tiling_verify,
                      standard_tiling_solve)
-from .words import (STEP_MATRICES, TILE_CLASSES, Word, WordError,
+from .words import (STEP_LETTERS, TILE_CLASSES, Word, WordError,
                     parse_word)
 
 
@@ -193,12 +193,10 @@ def cmd_verify_reductions(args) -> int:
 
 
 def cmd_group_probe(args) -> int:
-    generators = []
     for ch in args.generators:
-        if ch not in STEP_MATRICES:
+        if ch not in STEP_LETTERS:
             raise InputError(f"unknown generator letter {ch!r}")
-        generators.append(STEP_MATRICES[ch])
-    result = group_closure_probe(generators, args.bound)
+    result = group_closure_probe(args.generators, args.bound)
     _emit({"generators": args.generators, **result.to_json()})
     return 0
 

@@ -12,7 +12,6 @@ invariant.  Everything is immutable and exact; no floating point.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -56,16 +55,6 @@ class CycInt:
 
     def __str__(self) -> str:
         return f"{self.c0:+d}{self.c1:+d}*w{self.c2:+d}*w^2{self.c3:+d}*w^3"
-
-    @classmethod
-    def parse(cls, text: str) -> "CycInt":
-        """Inverse of __str__; also accepts unsigned leading coefficient."""
-        m = re.fullmatch(
-            r"\s*([+-]?\d+)\s*([+-]\s*\d+)\s*\*\s*w\s*"
-            r"([+-]\s*\d+)\s*\*\s*w\^2\s*([+-]\s*\d+)\s*\*\s*w\^3\s*", text)
-        if not m:
-            raise ValueError(f"not a CycInt literal: {text!r}")
-        return cls(*(int(g.replace(" ", "")) for g in m.groups()))
 
 
 ZERO = CycInt()

@@ -87,14 +87,11 @@ HEX7_CELLS = ((-2, 0), (-2, 1), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0))
 # Crescent-moon region: a 4-cell arc, boundary class MinusIdentity.
 # Fixed here up to grid symmetry (rotating it by 120 degrees stays in the
 # same closure class and preserves every invariant).
-CRESCENT_WORD = "ZxyZYYzXX"
 CRESCENT_CELLS = ((-2, 2), (-1, 2), (0, 0), (0, 1))
 
 # Two hexagons pinched at a single vertex; the boundary path is a valid
 # closed word but the cell pair is NOT an edge-connected region.
 BARBELL_CELLS = ((-2, 1), (0, 0))
-
-SINGLE_CELL = ((0, 0),)
 
 # 6-cell ring around a missing center: fails simple-connectivity.
 RING6_CELLS = ((0, 1), (1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1))

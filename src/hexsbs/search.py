@@ -17,7 +17,9 @@ unpruned prenecklace enumerations and a naive oracle.
 
 Words are evaluated on the table of the group the step matrices generate,
 words.STEP_GROUP (SL(2,3), order 24, built once at import): the search
-steps a word by one lookup per letter.  The census grows one flat list of
+steps a word by one lookup per letter, and the group probe walks a
+subgroup on the table's rows and reads its element orders from the
+table, with no matrix product.  The census grows one flat list of
 counts per length over (group element, last letter), and the endpoint
 lattice one set of (group element, endpoint) over all words, rather than
 visiting the words one by one.
@@ -25,13 +27,14 @@ visiting the words one by one.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .cyclo import IDENTITY, PMClass
+from .cyclo import PMClass
 from .hexgrid import STEP_DISPLACEMENTS
 from .words import (STEP_GROUP, STEP_INVERT, STEP_LETTERS,
                     canonical_representative, check_size, closure_variants,
-                    eval_letters, is_least_member)
+                    eval_letters, is_least_member, step_word)
 
 # canonical_representative is not called here; it stays importable from
 # this module, where the benchmark's tracer wraps it by name
@@ -235,36 +238,30 @@ class GroupProbeResult:
                 "element_orders": [list(p) for p in self.element_orders]}
 
 
-def group_closure_probe(generators, bound: int = 10 ** 6) -> GroupProbeResult:
-    """Breadth-first closure of <generators> under multiplication by the
-    generators and their inverses, keyed on the matrices themselves for
-    dedup; stops (BoundExceeded) once more than `bound` elements appear."""
+def group_closure_probe(letters: str,
+                        bound: int = 10 ** 6) -> GroupProbeResult:
+    """The subgroup of STEP_GROUP generated by the step letters, by a
+    breadth-first walk over element indices along the rows of the letters
+    and their inverses; stops (BoundExceeded) once more than `bound`
+    elements appear, whatever the order of the walk.  Element orders are
+    read from STEP_GROUP.orders."""
+    if not isinstance(letters, str):
+        raise ValueError(f"letters must be a str, got {letters!r}")
+    step_word(letters)  # names a letter outside XYZxyz
     check_size("bound", bound, 1)
-    gens = []
-    for g in generators:
-        gens.append(g)
-        gens.append(g.inv())
-    seen = {IDENTITY}
-    frontier = [IDENTITY]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                p = m * g
-                if p not in seen:
-                    if len(seen) >= bound:
-                        return GroupProbeResult(None, bound, ())
-                    seen.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    orders = {}
-    for m in seen:
-        n = 1
-        p = m
-        while p != IDENTITY:
-            p = p * m
-            n += 1
-        orders[n] = orders.get(n, 0) + 1
+    rows = [STEP_GROUP.step[ch]
+            for ch in letters + letters.translate(STEP_INVERT)]
+    seen = {0}
+    queue = [0]
+    for i in queue:  # the queue grows while it is read
+        for row in rows:
+            j = row[i]
+            if j not in seen:
+                if len(seen) >= bound:
+                    return GroupProbeResult(None, bound, ())
+                seen.add(j)
+                queue.append(j)
+    orders = Counter(STEP_GROUP.orders[i] for i in queue)
     return GroupProbeResult(len(seen), bound, tuple(sorted(orders.items())))
 
 

@@ -17,9 +17,10 @@ Conventions
   once at import via fixtures.TILE_WORDS, and its rows are kept as
   TILE_CLASSES.
 * The step matrices generate SL(2,3), of order 24, tabulated once at
-  import as STEP_GROUP from exact Mat2 products; step words evaluate by
-  one table lookup per letter.  Edge words stay on Mat2 products, since
-  alpha, beta and gamma generate an infinite group.
+  import as STEP_GROUP from exact Mat2 products, with the order of each
+  element read off the table; step words evaluate by one table lookup
+  per letter, and subgroups are walked on its rows.  Edge words stay on
+  Mat2 products, since alpha, beta and gamma generate an infinite group.
 """
 
 from __future__ import annotations
@@ -238,6 +239,7 @@ class StepGroup:
     step: dict  # letter -> row: step[ch][i] = index of elements[i] * M(ch)
     pm: tuple  # PMClass of each element
     shortest: tuple  # shortest word of each element
+    orders: tuple  # order of each element
 
 
 def _build_step_group() -> StepGroup:
@@ -256,10 +258,21 @@ def _build_step_group() -> StepGroup:
                 shortest.append(shortest[i] + ch)
             rows[ch].append(j)
         i += 1
+
+    def order(i: int) -> int:
+        # p * elements[i] is p walked along the letters of shortest[i]
+        n, p = 1, i
+        while p:
+            for ch in shortest[i]:
+                p = rows[ch][p]
+            n += 1
+        return n
+
     return StepGroup(tuple(elements),
                      {ch: tuple(row) for ch, row in rows.items()},
                      tuple(classify_pm(m) for m in elements),
-                     tuple(shortest))
+                     tuple(shortest),
+                     tuple(map(order, range(len(elements)))))
 
 
 STEP_GROUP = _build_step_group()

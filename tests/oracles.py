@@ -13,8 +13,9 @@ the former per-step boundary walk of the sequence check, tiling counts
 by raw subset search,
 the former anchor-scan placement enumeration, the former recursive and
 rescanning exact covers, dense-transform lattice, word-by-word
-endpoint walk and reduced-word endpoint frontier, and group orders
-from a presentation alone by coset enumeration (no matrices at all).
+endpoint walk and reduced-word endpoint frontier, the former group
+probe by Mat2 closure and matrix powers, and group orders from a
+presentation alone by coset enumeration (no matrices at all).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from hexsbs.hexgrid import (_EDGE_LETTERS, NEIGHBOR_OFFSETS,
                             STEP_DISPLACEMENTS, LatticePoint, Region,
                             RegionError, _boundary_walk, is_closed,
                             is_edge_connected, lattice_to_plane, neighbors)
-from hexsbs.search import (_FOLLOWERS, START_LETTERS, RelationRecord,
-                           Reduction)
+from hexsbs.search import (_FOLLOWERS, START_LETTERS, GroupProbeResult,
+                           RelationRecord, Reduction)
 from hexsbs.tiling import (KINDS, Placement, SequenceReport, StepRecord,
                            TilingCount, boundary_obstruction_check,
                            enumerate_placements, tile_catalog)
@@ -875,3 +876,41 @@ def sign_presentation(minus, plus):
     each word of `minus` equals C and each word of `plus` equals 1."""
     return (["CC", "CXcx", "CYcy", "CZcz"] + [w + "c" for w in minus]
             + list(plus))
+
+
+def mat2_group_closure(generators, bound: int) -> GroupProbeResult:
+    """Breadth-first closure of <generators> under multiplication by the
+    generators and their inverses, keyed on the matrices themselves for
+    dedup; stops (BoundExceeded) once more than `bound` elements appear.
+    Each element's order comes from multiplying its powers up to I."""
+    gens = []
+    for g in generators:
+        gens.append(g)
+        gens.append(g.inv())
+    seen = {IDENTITY}
+    frontier = [IDENTITY]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                p = m * g
+                if p not in seen:
+                    if len(seen) >= bound:
+                        return GroupProbeResult(None, bound, ())
+                    seen.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    orders = {}
+    for m in seen:
+        n = mat2_order(m)
+        orders[n] = orders.get(n, 0) + 1
+    return GroupProbeResult(len(seen), bound, tuple(sorted(orders.items())))
+
+
+def mat2_order(m: Mat2) -> int:
+    """The least n >= 1 with m^n = I, by repeated Mat2 products."""
+    n, p = 1, m
+    while p != IDENTITY:
+        p = p * m
+        n += 1
+    return n

@@ -24,9 +24,9 @@ from hexsbs.tiling import (ConstructionStep, Placement, SignedTiling,
                            min_stone_probe, pad_window, signed_tiling_solve,
                            signed_tiling_verify, solve_cell_target,
                            standard_tiling_solve, tile_shape)
-from hexsbs.words import (STEP_MATRICES, canonical_representative, closure,
-                          classify_pm, eval_letters, eval_word, free_reduce,
-                          invert_word, step_word)
+from hexsbs.words import (canonical_representative, closure, classify_pm,
+                          eval_letters, eval_word, free_reduce, invert_word,
+                          step_word)
 
 from oracles import (brute_force_tiling_count, coset_trace,
                      naive_identity_classes, sign_presentation, todd_coxeter,
@@ -301,9 +301,8 @@ def test_criterion_9_recorded_findings():
     notes.append(f"stone-parity findings: {probes}")
 
     # group probe respects its bound and records the outcome
-    full = group_closure_probe([STEP_MATRICES[c] for c in "XYZ"],
-                               bound=10 ** 6)
-    small = group_closure_probe([STEP_MATRICES[c] for c in "XYZ"], bound=10)
+    full = group_closure_probe("XYZ", bound=10 ** 6)
+    small = group_closure_probe("XYZ", bound=10)
     probe_ok = (not full.bound_exceeded and small.bound_exceeded)
     notes.append(f"group order recorded: {full.order}, "
                  f"bound 10 exceeded: {small.bound_exceeded}")

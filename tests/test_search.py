@@ -1,5 +1,7 @@
 import itertools
 import json
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +22,7 @@ from hexsbs.words import (STEP_GROUP, STEP_MATRICES, canonical_representative,
 from oracles import (INVERSE, census_counts_by_length, closure_set,
                      closure_set_identity_words, coset_trace,
                      count_identity_words, endpoints_by_length,
+                     mat2_group_closure, mat2_order,
                      naive_identity_classes, prenecklace_identity_words,
                      reduced_endpoint_lattice, sign_presentation,
                      substring_dict_reduce, todd_coxeter)
@@ -273,39 +276,47 @@ def test_verify_reduction_table():
 
 
 def test_group_probe_single_generator():
-    result = group_closure_probe([STEP_MATRICES["X"]], bound=100)
+    result = group_closure_probe("X", bound=100)
     assert result.order == 6
     assert not result.bound_exceeded
 
 
 def test_group_probe_identity():
-    result = group_closure_probe([IDENTITY], bound=10)
+    result = group_closure_probe("", bound=10)
     assert result.order == 1
 
 
 def test_group_probe_full_group():
-    result = group_closure_probe(
-        [STEP_MATRICES[ch] for ch in "XYZ"], bound=10 ** 6)
+    result = group_closure_probe("XYZ", bound=10 ** 6)
     assert result.order == 24
     assert dict(result.element_orders) == {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}
 
 
-def test_step_group_element_orders_match_group_probe():
-    # p * elements[i] is p walked along the letters of shortest[i]
-    step = STEP_GROUP.step
-    orders = {}
-    for i, word in enumerate(STEP_GROUP.shortest):
-        n, p = 1, i
-        while p != 0:
-            for ch in word:
-                p = step[ch][p]
-            n += 1
-        orders[n] = orders.get(n, 0) + 1
-    probe = group_closure_probe(
-        [STEP_MATRICES[ch] for ch in "XYZ"], bound=10 ** 6)
-    assert len(STEP_GROUP.elements) == probe.order == 24
-    assert orders == dict(probe.element_orders) == \
-        {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}
+def test_step_group_orders_match_mat2_powers():
+    assert STEP_GROUP.orders == tuple(map(mat2_order, STEP_GROUP.elements))
+    assert Counter(STEP_GROUP.orders) == {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}
+
+
+def test_group_probe_matches_mat2_closure():
+    # every subset of the six letters, the empty one too, at every bound
+    # below and just above the largest order and at the default
+    subsets = ["".join(c) for n in range(7)
+               for c in itertools.combinations("XYZxyz", n)]
+    assert len(subsets) == 64
+    for letters in subsets:
+        generators = [STEP_MATRICES[ch] for ch in letters]
+        for bound in [*range(1, 26), 10 ** 6]:
+            assert group_closure_probe(letters, bound) == \
+                mat2_group_closure(generators, bound), (letters, bound)
+
+
+@pytest.mark.parametrize("letters, named", [
+    (["X"], "['X']"), (None, "None"), (b"X", "b'X'"),
+    ("XQ", "'Q'"), ("X y", "' '"),
+])
+def test_group_probe_refuses_non_step_letters(letters, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        group_closure_probe(letters)
 
 
 def test_coset_enumeration_matches_group_probe():
@@ -321,8 +332,7 @@ def test_coset_enumeration_matches_group_probe():
                for k in range(len(table)) for ch in "XYZC")
     # the step matrices satisfy every relation with C -> -I, so they are a
     # quotient of the presented group; equal orders make them faithful
-    probe = group_closure_probe(
-        [STEP_MATRICES[ch] for ch in "XYZ"], bound=10 ** 6)
+    probe = group_closure_probe("XYZ", bound=10 ** 6)
     assert len(table) == probe.order == 24
 
 
@@ -339,19 +349,18 @@ def test_search_config_requires_ints(args, name):
 
 
 def test_group_probe_bound_respected():
-    result = group_closure_probe(
-        [STEP_MATRICES[ch] for ch in "XYZ"], bound=10)
+    result = group_closure_probe("XYZ", bound=10)
     assert result.bound_exceeded
     assert result.to_json()["result"] == "BoundExceeded"
     with pytest.raises(ValueError):
-        group_closure_probe([IDENTITY], bound=0)
+        group_closure_probe("", bound=0)
 
 
 @pytest.mark.parametrize("value", [True, False, 2.5, "2", None])
 def test_search_sizes_must_be_ints(value):
     calls = {"max_length": [lambda: identity_endpoint_lattice(value),
                             lambda: identity_word_census(value)],
-             "bound": [lambda: group_closure_probe([IDENTITY], bound=value)]}
+             "bound": [lambda: group_closure_probe("", bound=value)]}
     for name, fns in calls.items():
         for call in fns:
             with pytest.raises(ValueError, match=f"{name} must be an int"):

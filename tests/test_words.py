@@ -393,7 +393,7 @@ SIZES = {
     "SearchConfig partitions": ("partitions", 1,
                                 lambda v: SearchConfig(8, v)),
     "group_closure_probe": ("bound", 1,
-                            lambda v: group_closure_probe([IDENTITY], v)),
+                            lambda v: group_closure_probe("", v)),
     "identity_endpoint_lattice": ("max_length", 0,
                                   identity_endpoint_lattice),
     "identity_word_census": ("max_length", 2, identity_word_census),
