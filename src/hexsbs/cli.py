@@ -26,8 +26,7 @@ from .tiling import (KINDS, SignedTiling, boundary_obstruction_check,
                      construction_step_from_json, min_stone_probe,
                      signed_tiling_solve, signed_tiling_verify,
                      standard_tiling_solve)
-from .words import (STEP_LETTERS, TILE_CLASSES, Word, WordError,
-                    parse_word)
+from .words import TILE_CLASSES, Word, WordError, parse_word
 
 
 class InputError(Exception):
@@ -193,10 +192,11 @@ def cmd_verify_reductions(args) -> int:
 
 
 def cmd_group_probe(args) -> int:
-    for ch in args.generators:
-        if ch not in STEP_LETTERS:
-            raise InputError(f"unknown generator letter {ch!r}")
-    result = group_closure_probe(args.generators, args.bound)
+    try:
+        result = group_closure_probe(args.generators, args.bound)
+    except WordError as e:
+        raise InputError("unknown generator letter "
+                         f"{args.generators[e.position]!r}") from e
     _emit({"generators": args.generators, **result.to_json()})
     return 0
 

@@ -53,9 +53,6 @@ class CycInt:
         d6 = a3 * b3
         return CycInt(d0 - d4 - d6, d1 - d5, d2 + d4, d3 + d5)
 
-    def __str__(self) -> str:
-        return f"{self.c0:+d}{self.c1:+d}*w{self.c2:+d}*w^2{self.c3:+d}*w^3"
-
 
 ZERO = CycInt()
 ONE = CycInt(1)

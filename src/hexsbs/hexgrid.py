@@ -14,7 +14,8 @@ Coordinates
   Grid vertices have x = 1 or 2 (mod 3); the shaded ones are x = 1 (mod 3).
 * A written step word is traversed from its rightmost letter (see
   :mod:`hexsbs.words`), so boundary extraction records the
-  counterclockwise walk and then reverses it.
+  counterclockwise walk from a shaded vertex and pairs it, reversed, into
+  step letters with words.edges_to_steps.
 * A region is tested by one boundary walk, kept with the Region; the step
   word is read off it only when asked for.  The cells whose bottom and
   top edges the walk takes pair off, sorted, into column runs (q fixed,
@@ -31,10 +32,10 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import add
 from random import Random
 
-from .words import STEP_TO_EDGES, Word, check_size, step_word
+from .words import (STEP_TO_EDGES, Word, check_size, edges_to_steps,
+                    step_word)
 
 Cell = tuple  # (q, r)
 LatticePoint = tuple  # (u, v)
@@ -84,8 +85,6 @@ STEP_EDGE_DELTAS = {step: tuple(_EDGE_DELTAS[e] for e in reversed(pair))
 STEP_DISPLACEMENTS = {  # on the lattice of shaded vertices
     step: plane_to_lattice(tuple(map(sum, zip(lattice_to_plane((0, 0)), *ds))))
     for step, ds in STEP_EDGE_DELTAS.items()}
-# time-ordered edge pair (from a shaded vertex) -> step letter
-_STEP_BY_EDGE_PAIR = {pair[::-1]: step for step, pair in STEP_TO_EDGES.items()}
 _EDGE_K = {d: k for k, d in enumerate(_EDGE_DELTAS.values())}  # delta -> k
 
 
@@ -294,11 +293,8 @@ def region_boundary_word(region: Region) -> BoundaryWord:
     if k % 2 == 0:  # corner k of a cell is shaded exactly when k is odd
         k += 1
         letters = letters[1:] + letters[:1]
-    x, y = cell_vertices_plane(cell)[k]
-    # the edge pairs of the steps, last step first
-    pairs = map(add, letters[-2::-2], letters[::-2])
-    return BoundaryWord(plane_to_lattice((x, y)), step_word(
-        "".join(map(_STEP_BY_EDGE_PAIR.__getitem__, pairs))))
+    start = plane_to_lattice(cell_vertices_plane(cell)[k])
+    return BoundaryWord(start, step_word(edges_to_steps(letters[::-1])))
 
 
 def grow_random_region(rng: Random, n_cells: int) -> Region:

@@ -245,9 +245,7 @@ def group_closure_probe(letters: str,
     and their inverses; stops (BoundExceeded) once more than `bound`
     elements appear, whatever the order of the walk.  Element orders are
     read from STEP_GROUP.orders."""
-    if not isinstance(letters, str):
-        raise ValueError(f"letters must be a str, got {letters!r}")
-    step_word(letters)  # names a letter outside XYZxyz
+    step_word(letters)  # names a non-string, or a letter outside XYZxyz
     check_size("bound", bound, 1)
     rows = [STEP_GROUP.step[ch]
             for ch in letters + letters.translate(STEP_INVERT)]

@@ -92,10 +92,10 @@ def render_tiling(tiling: SignedTiling, scale: float = 24.0,
     return doc.to_svg(_HATCH_DEF)
 
 
-def render_path(word: Word, start=(0, 0), scale: float = 24.0) -> str:
-    """Polyline along the grid edges of the path, rightmost letter first,
-    with a dot at the start vertex and an arrowhead at the end."""
-    x, y = lattice_to_plane(start)
+def render_path(word: Word, scale: float = 24.0) -> str:
+    """Polyline along the grid edges of the path from the origin, rightmost
+    letter first, with a dot at the start and an arrowhead at the end."""
+    x, y = lattice_to_plane((0, 0))
     pts = [(x, y)]
     for ch in reversed(word.letters):
         for dx, dy in STEP_EDGE_DELTAS[ch]:

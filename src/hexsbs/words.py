@@ -16,6 +16,8 @@ Conventions
   and both stone words to -I, in both alphabets); the suite is asserted
   once at import via fixtures.TILE_WORDS, and its rows are kept as
   TILE_CLASSES.
+* Edge letters become step letters only in edges_to_steps, two at a time;
+  edge_to_step and hexgrid's region_boundary_word both call it.
 * The step matrices generate SL(2,3), of order 24, tabulated once at
   import as STEP_GROUP from exact Mat2 products, with the order of each
   element read off the table; step words evaluate by one table lookup
@@ -26,6 +28,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .cyclo import (ALPHA, BETA, GAMMA, IDENTITY, Mat2, PMClass, classify_pm)
 
@@ -66,14 +69,15 @@ class Word:
     def __post_init__(self):
         if self.alphabet not in ("step", "edge"):
             raise WordError(f"unknown alphabet {self.alphabet!r}")
-        if (isinstance(self.letters, str)
-                and _LETTER_SETS[self.alphabet].issuperset(self.letters)):
+        if not isinstance(self.letters, str):
+            raise WordError(f"letters must be a str, got {self.letters!r}")
+        allowed = _LETTER_SETS[self.alphabet]
+        if allowed.issuperset(self.letters):
             return  # one set test; the scan below only names the fault
-        allowed = STEP_LETTERS if self.alphabet == "step" else EDGE_LETTERS
-        for i, ch in enumerate(self.letters):
-            if ch not in allowed:
-                raise WordError(
-                    f"invalid {self.alphabet} letter {ch!r} at index {i}", i)
+        i, ch = next((i, ch) for i, ch in enumerate(self.letters)
+                     if ch not in allowed)
+        raise WordError(
+            f"invalid {self.alphabet} letter {ch!r} at index {i}", i)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -308,6 +312,18 @@ def step_to_edge(w: Word) -> Word:
     return Word("edge", "".join(STEP_TO_EDGES[ch] for ch in w.letters))
 
 
+def edges_to_steps(edges: str) -> str | None:
+    """The step letters of a written edge string, two edges at a time, or
+    None when its length is odd or some pair is not a step's edge pair."""
+    if len(edges) % 2:
+        return None
+    try:
+        return "".join(map(_EDGES_TO_STEP.__getitem__,
+                           map(add, edges[::2], edges[1::2])))
+    except KeyError:
+        return None
+
+
 def edge_to_step(w: Word) -> tuple[Word, int]:
     """Group an edge word into step letters.
 
@@ -320,22 +336,14 @@ def edge_to_step(w: Word) -> tuple[Word, int]:
     s = w.letters
     if len(s) % 2:
         raise WordError(f"edge word has odd length {len(s)}")
-    first_error = None
     for shift in (0, 1):
-        shifted = s[shift:] + s[:shift]
-        steps = []
-        for i in range(0, len(shifted), 2):
-            pair = shifted[i:i + 2]
-            step = _EDGES_TO_STEP.get(pair)
-            if step is None:
-                if first_error is None:
-                    first_error = WordError(
-                        f"edge pair {pair!r} at index {i} is not a step move", i)
-                break
-            steps.append(step)
-        else:
-            return Word("step", "".join(steps)), shift
-    raise first_error
+        steps = edges_to_steps(s[shift:] + s[:shift])
+        if steps is not None:
+            return Word("step", steps), shift
+    i = next(i for i in range(0, len(s), 2)
+             if s[i:i + 2] not in _EDGES_TO_STEP)
+    raise WordError(
+        f"edge pair {s[i:i + 2]!r} at index {i} is not a step move", i)
 
 
 def _startup_calibration() -> tuple:

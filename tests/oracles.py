@@ -14,28 +14,33 @@ by raw subset search,
 the former anchor-scan placement enumeration, the former recursive and
 rescanning exact covers, dense-transform lattice, word-by-word
 endpoint walk and reduced-word endpoint frontier, the former group
-probe by Mat2 closure and matrix powers, and group orders from a
-presentation alone by coset enumeration (no matrices at all).
+probe by Mat2 closure and matrix powers, group orders from a
+presentation alone by coset enumeration (no matrices at all), and the
+former edge-to-step groupings: pair by pair per phase, and the boundary
+walk's time-ordered pairs looked up reversed, last step first.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+from operator import add
 
 from hexsbs.cyclo import (IDENTITY, MINUS_IDENTITY, CycInt, Mat2, PMClass,
                           classify_pm)
 from hexsbs.hexgrid import (_EDGE_LETTERS, NEIGHBOR_OFFSETS,
-                            STEP_DISPLACEMENTS, LatticePoint, Region,
-                            RegionError, _boundary_walk, is_closed,
-                            is_edge_connected, lattice_to_plane, neighbors)
+                            STEP_DISPLACEMENTS, BoundaryWord, LatticePoint,
+                            Region, RegionError, _boundary_walk,
+                            cell_vertices_plane, is_closed, is_edge_connected,
+                            lattice_to_plane, neighbors, plane_to_lattice)
 from hexsbs.search import (_FOLLOWERS, START_LETTERS, GroupProbeResult,
                            RelationRecord, Reduction)
 from hexsbs.tiling import (KINDS, Placement, SequenceReport, StepRecord,
                            TilingCount, boundary_obstruction_check,
                            enumerate_placements, tile_catalog)
-from hexsbs.words import (STEP_GROUP, STEP_LETTERS, STEP_MATRICES, Word,
-                          WordError, eval_word, is_least_member, step_word)
+from hexsbs.words import (STEP_GROUP, STEP_LETTERS, STEP_MATRICES,
+                          STEP_TO_EDGES, Word, WordError, eval_word,
+                          is_least_member, step_word)
 
 OMEGA_C = cmath.exp(1j * cmath.pi / 6)  # primitive 12th root of unity
 
@@ -914,3 +919,51 @@ def mat2_order(m: Mat2) -> int:
         p = p * m
         n += 1
     return n
+
+
+_EDGES_TO_STEP = {pair: step for step, pair in STEP_TO_EDGES.items()}
+
+
+def pairwise_edge_to_step(w: Word) -> tuple[Word, int]:
+    """The former edge_to_step: each phase grouped one pair at a time; the
+    error names the first bad pair of the unshifted word."""
+    if w.alphabet != "edge":
+        raise WordError("edge_to_step expects an edge word")
+    s = w.letters
+    if len(s) % 2:
+        raise WordError(f"edge word has odd length {len(s)}")
+    first_error = None
+    for shift in (0, 1):
+        shifted = s[shift:] + s[:shift]
+        steps = []
+        for i in range(0, len(shifted), 2):
+            pair = shifted[i:i + 2]
+            step = _EDGES_TO_STEP.get(pair)
+            if step is None:
+                if first_error is None:
+                    first_error = WordError(
+                        f"edge pair {pair!r} at index {i} is not a step move",
+                        i)
+                break
+            steps.append(step)
+        else:
+            return Word("step", "".join(steps)), shift
+    raise first_error
+
+
+# time-ordered edge pair (from a shaded vertex) -> step letter
+_STEP_BY_EDGE_PAIR = {pair[::-1]: step for step, pair in STEP_TO_EDGES.items()}
+
+
+def reversed_pair_boundary_word(region: Region) -> BoundaryWord:
+    """The former region_boundary_word: the kept walk, aligned to a shaded
+    vertex, paired in walk order from its end, each pair looked up
+    reversed."""
+    cell, k, letters = region.walk or _boundary_walk(region.cells)
+    if k % 2 == 0:
+        k += 1
+        letters = letters[1:] + letters[:1]
+    x, y = cell_vertices_plane(cell)[k]
+    pairs = map(add, letters[-2::-2], letters[::-2])
+    return BoundaryWord(plane_to_lattice((x, y)), step_word(
+        "".join(map(_STEP_BY_EDGE_PAIR.__getitem__, pairs))))

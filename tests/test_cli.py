@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hexsbs import cli, cyclo, hexgrid
+from hexsbs import cli, cyclo, hexgrid, svg
 from hexsbs.cli import run
 from hexsbs.tiling import SignedTiling, signed_tiling_verify
 from hexsbs.hexgrid import region_validate
@@ -510,6 +510,14 @@ def test_render_region(capsys, tmp_path):
     root = ET.fromstring(out_file.read_text())
     polygons = root.findall(".//{http://www.w3.org/2000/svg}polygon")
     assert len(polygons) == 7
+
+
+def test_render_empty_region_is_an_empty_document():
+    # a document with no points frames the origin
+    assert svg.render_region(hexgrid.Region(frozenset())) == (
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        'viewBox="-8.00 -8.00 16.00 16.00" width="16.00" height="16.00">'
+        "\n\n</svg>\n")
 
 
 @pytest.mark.parametrize("scale", ["0", "-5", "nan", "inf"])

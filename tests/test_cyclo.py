@@ -125,10 +125,6 @@ def test_det_multiplicative_random():
         assert m.det() == ONE
 
 
-def test_text_form():
-    assert str(CycInt(-3, 0, 12, -7)) == "-3+0*w+12*w^2-7*w^3"
-
-
 def test_mat2_key_is_canonical():
     # equal products are one set key, and +-I are two
     assert len({IDENTITY, MINUS_IDENTITY, BETA * ALPHA, BETA * ALPHA}) == 3

@@ -1,5 +1,6 @@
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,10 @@ from hexsbs.words import (STEP_TO_EDGES, WordError, closure, eval_word,
                           invert_word, step_to_edge, step_word)
 
 from oracles import (euler_characteristic, flood_is_simply_connected,
-                     pair_count_boundary_walk, scanning_region_validate,
-                     winding_cells)
+                     pair_count_boundary_walk, reversed_pair_boundary_word,
+                     scanning_region_validate, winding_cells)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_path_endpoint():
@@ -211,6 +214,7 @@ def test_hole_test_on_rings_and_paths():
         region_validate(ring_and_cell)
     staircase = [(q, -(q // 2)) for q in range(300)]
     assert is_edge_connected(staircase)
+    assert is_edge_connected([])
     region = region_validate(staircase)
     bw = region_boundary_word(region)
     assert bw == region_boundary_word(Region(region.cells))
@@ -359,6 +363,27 @@ def test_run_check_matches_flood_and_pair_count(cells):
 def test_empty_region_has_no_boundary_word():
     with pytest.raises(RegionError, match="empty region"):
         region_boundary_word(Region(frozenset()))
+
+
+@pytest.mark.parametrize("name", [
+    "hex7.json", "hex7.txt", "single_cell.json", "bone.json",
+    "crescent.json"])
+def test_boundary_word_matches_reversed_pair_oracle_on_fixtures(name):
+    path = FIXTURES / name
+    load = region_from_ascii if name.endswith(".txt") else region_from_json
+    region = load(path.read_text())
+    assert region_boundary_word(region) == reversed_pair_boundary_word(region)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), size=st.integers(1, 80))
+def test_boundary_word_matches_reversed_pair_oracle(seed, size):
+    # on a grown region (no kept walk) and on its validated copy
+    grown = grow_random_region(random.Random(seed), size)
+    kept = region_validate(grown.sorted_cells())
+    for region in (grown, kept):
+        assert (region_boundary_word(region)
+                == reversed_pair_boundary_word(region))
 
 
 def test_boundary_word_hex7():

@@ -19,12 +19,13 @@ from hexsbs.words import (STEP_GROUP, STEP_MATRICES, TILE_CLASSES,
                           ClosureClass, Word,
                           WordError, canonical_representative, classify_pm,
                           closure, closure_members, edge_to_step,
+                          edges_to_steps,
                           eval_letters, eval_word, free_reduce, invert_word,
                           is_cyclically_reduced, is_least_member, parse_word,
                           rotate120, step_to_edge, step_word)
 
 from oracles import INVERSE, closure_set, eval_by_products, \
-    exact_matches_complex
+    exact_matches_complex, pairwise_edge_to_step
 
 
 def rand_step_word(rng, max_len, reduced=False):
@@ -61,6 +62,35 @@ def test_bad_letter_in_a_long_word_keeps_its_index(alphabet, letters, bad):
     with pytest.raises(WordError) as err:
         parse_word(text + bad + bad, alphabet)
     assert err.value.position == 10 ** 4
+
+
+@pytest.mark.parametrize("alphabet", ["step", "edge"])
+@pytest.mark.parametrize("value", [
+    ["X"], ("X",), None, b"X", 5, ["A"], ("A",), b"A"], ids=repr)
+def test_word_letters_must_be_a_str(alphabet, value):
+    # no iterable of letters is read as a word, even one of valid letters
+    named = re.escape(repr(value))
+    with pytest.raises(WordError, match=named):
+        Word(alphabet, value)
+    with pytest.raises(WordError, match=named):
+        parse_word(value, alphabet)
+    with pytest.raises(WordError, match=named):
+        eval_letters(value, alphabet)
+    if alphabet == "step":
+        with pytest.raises(WordError, match=named):
+            step_word(value)
+
+
+def test_alphabet_is_checked():
+    with pytest.raises(WordError, match="unknown alphabet 'free'"):
+        Word("free", "X")
+    edge = parse_word("BA", "edge")
+    with pytest.raises(WordError, match="step alphabet only"):
+        closure(edge)
+    with pytest.raises(WordError, match="expects a step word"):
+        step_to_edge(edge)
+    with pytest.raises(WordError, match="expects an edge word"):
+        edge_to_step(step_word("X"))
 
 
 def test_free_reduce():
@@ -357,6 +387,37 @@ def test_edge_to_step_errors():
     with pytest.raises(WordError) as err:
         edge_to_step(parse_word("AA", "edge"))  # ungroupable either phase
     assert "AA" in str(err.value) or "aA" in str(err.value)
+
+
+def test_edges_to_steps_reads_pairs_or_none():
+    assert edges_to_steps("") == ""
+    assert edges_to_steps("BAgA") == "Xy"
+    assert edges_to_steps("BAg") is None  # odd length
+    assert edges_to_steps("BAAB") is None  # AB is no step's pair
+
+
+def _grouping(fn, letters):
+    try:
+        return fn(parse_word(letters, "edge"))
+    except WordError as e:
+        return str(e), e.position
+
+
+_STEP_IMAGES = st.text(alphabet="XYZxyz", max_size=28).map(
+    lambda s: step_to_edge(step_word(s)).letters)
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.text(alphabet="ABGabg", max_size=60),
+    _STEP_IMAGES,
+    _STEP_IMAGES.map(lambda e: e[1:] + e[:1]),
+    st.tuples(_STEP_IMAGES, st.text(alphabet="ABGabg", max_size=4)).map(
+        "".join)))
+def test_edge_to_step_matches_pairwise_oracle(letters):
+    # the same (word, shift), or the same message and position
+    assert (_grouping(edge_to_step, letters)
+            == _grouping(pairwise_edge_to_step, letters))
 
 
 def test_edge_to_step_tile_words_need_at_most_one_shift():
