@@ -26,7 +26,7 @@ from .tiling import (KINDS, SignedTiling, boundary_obstruction_check,
                      construction_step_from_json, min_stone_probe,
                      signed_tiling_solve, signed_tiling_verify,
                      standard_tiling_solve)
-from .words import TILE_CLASSES, Word, WordError, parse_word
+from .words import TILE_CLASSES, SizeError, Word, WordError, parse_word
 
 
 class InputError(Exception):
@@ -337,7 +337,7 @@ def run(argv) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
+    except (InputError, SizeError) as e:  # a size below its floor is input
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # a crash must not read as a negative answer

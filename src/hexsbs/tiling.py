@@ -15,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import islice
+from operator import itemgetter
 
 from . import fixtures
 from .cyclo import PMClass
-from .hexgrid import (Region, left_cells, neighbors, region_boundary_word,
-                      region_validate, ring_arcs)
+from .hexgrid import (NEIGHBOR_OFFSETS, Region, left_cells, neighbors,
+                      region_boundary_word, region_validate, ring_arcs)
 from .words import Word, check_size, classify_pm, eval_word, step_word
 
 KINDS = ("bone", "stone", "snake")
@@ -128,35 +129,78 @@ def pad_window(cells, padding: int) -> frozenset:
     return frozenset(window)
 
 
-def enumerate_placements(window, kinds=KINDS) -> list:
-    """All placements of the selected kinds lying entirely inside the
-    window, in deterministic (catalog, anchor) order.
+_STAY = len(NEIGHBOR_OFFSETS)  # a step that stays put, to pad a walk
 
-    Every shape holds the offset (0, 0), so every anchor is a window
-    cell: one pass over the sorted window per shape keeps each cell that
-    puts the shape's other offsets on the window too.  The 3- and 4-cell
-    tests are written out: a generic all() over the offsets took more
-    than twice as long.  An unknown kind, or a string, raises ValueError.
+
+def _neighbour_walk(offsets: tuple) -> tuple:
+    """A shortest walk of neighbour steps from the anchor that visits
+    every cell of the shape, from a breadth-first search over the states
+    (walk's last cell, cells visited).  Returns the walk's directions,
+    padded with _STAY to four, and a getter that picks each offset's
+    first visit out of the walk's cells, in offset order."""
+    queue, seen = [((0, 0),)], set()
+    for walk in queue:
+        visited = frozenset(walk)
+        if len(visited) == len(offsets):
+            break
+        q, r = walk[-1]
+        for dq, dr in NEIGHBOR_OFFSETS:
+            cell = (q + dq, r + dr)
+            state = cell, visited | {cell}
+            if cell in offsets and state not in seen:
+                seen.add(state)
+                queue.append(walk + (cell,))
+    assert set(walk) == set(offsets), offsets  # every tile is connected
+    steps = [NEIGHBOR_OFFSETS.index((bq - aq, br - ar))
+             for (aq, ar), (bq, br) in zip(walk, walk[1:])]
+    assert len(steps) <= 4, offsets
+    return (*steps, *[_STAY] * (4 - len(steps))), \
+        itemgetter(*map(walk.index, offsets))
+
+
+_WALKS = tuple(_neighbour_walk(s.offsets) for s in _CATALOG)
+
+
+def _placement_table(cells, kinds=KINDS) -> tuple:
+    """The placements of the selected kinds lying entirely inside `cells`,
+    as (sorted cells, [(shape, anchor)], rows), where a placement's row
+    holds its cells' numbers in the sorted cells, in offset order.  The
+    placements come in (catalog, anchor) order.
+
+    The cells are numbered once, and each direction a selected shape's
+    walk takes gets one list: the number of each cell's neighbour that
+    way, or n where it has none, with n at n.  A shape is then tried at
+    each anchor by following its walk with integer list indexing, no
+    tuple hashed, and fits when no step comes out n.  An unknown kind, or
+    a string, raises ValueError.
     """
     kinds = _tile_kinds(kinds)
-    window = frozenset(window)
-    order = sorted(window)
-    out = []
-    for shape in _CATALOG:
-        if shape.kind not in kinds:
-            continue
-        (aq, ar), (bq, br), *rest = [o for o in shape.offsets if o != (0, 0)]
-        if rest:
-            (cq, cr), = rest
-            out.extend(Placement(shape, (q, r)) for q, r in order
-                       if (q + aq, r + ar) in window
-                       and (q + bq, r + br) in window
-                       and (q + cq, r + cr) in window)
-        else:
-            out.extend(Placement(shape, (q, r)) for q, r in order
-                       if (q + aq, r + ar) in window
-                       and (q + bq, r + br) in window)
-    return out
+    order = sorted(set(cells))
+    n = len(order)
+    index = dict(zip(order, range(n)))
+    shapes = [s for s in _CATALOG if s.kind in kinds]
+    step = {_STAY: list(range(n + 1))}  # direction -> neighbour numbers
+    for k in {k for s in shapes for k in _WALKS[s.index][0]} - {_STAY}:
+        dq, dr = NEIGHBOR_OFFSETS[k]
+        step[k] = [index.get((q + dq, r + dr), n) for q, r in order] + [n]
+    placements, rows = [], []
+    for shape in shapes:
+        walk, picks = _WALKS[shape.index]
+        a, b, c, d = (step[k] for k in walk)
+        fit = [(i, w, x, y, z) for i in range(n)
+               if (w := a[i]) != n and (x := b[w]) != n
+               and (y := c[x]) != n and (z := d[y]) != n]
+        rows += map(picks, fit)
+        placements += [(shape, order[t[0]]) for t in fit]
+    return order, placements, rows
+
+
+def enumerate_placements(window, kinds=KINDS) -> list:
+    """All placements of the selected kinds lying entirely inside the
+    window, in deterministic (catalog, anchor) order, as `Placement`s read
+    from the placement table.  An unknown kind, or a string, raises
+    ValueError."""
+    return [Placement(*p) for p in _placement_table(window, kinds)[1]]
 
 
 @dataclass(frozen=True)
@@ -205,14 +249,6 @@ def signed_tiling_verify(region: Region, tiling: SignedTiling):
     return None
 
 
-def _tile_indices(placements, index: dict):
-    """Each placement's cells as their numbers in `index`, read from the
-    anchor plus the shape's offsets, in offset order, one at a time."""
-    for p in placements:
-        aq, ar = p.anchor
-        yield [index[q + aq, r + ar] for q, r in p.shape.offsets]
-
-
 def _subtract(row: dict, q: int, base: dict) -> None:
     """row -= q * base for sparse integer rows, dropping the zeros made."""
     for k, b in base.items():
@@ -226,20 +262,20 @@ def _subtract(row: dict, q: int, base: dict) -> None:
 class IntegerLattice:
     """Row lattice of placement indicator vectors, in echelon form.
 
-    Each placement is one sparse row over the window cells, keyed 0..m-1
-    in sorted cell order and read from its anchor plus its shape's
-    offsets, with no cell set built.  The rows are inserted one at a
-    time, in placement order, into a basis that maps a leading column to
-    (row, placement).  At its leading column a row takes q times the
-    basis row off; if a remainder is left there, the row takes the pivot
-    and the former basis row carries on being reduced, as in Euclid.
-    Each row operation is appended to one flat log instead of being
-    applied to a transform, as (i, q, b): placement i's row -= q *
-    placement b's row.  A negation, of a row that lands on a free column
-    with a negative lead, is (i, 2, i).  A row's operations are logged
-    only once it holds a pivot: a row reduced to zero is never a basis
-    row again, so the backward replay reaches its later operations with
-    its coefficient still 0, and they are dropped.
+    It is built from a placement table of the window: `cells` in sorted
+    order and each placement's row of cell numbers 0..m-1, so each
+    placement is one sparse row with no cell set built.  The rows are
+    inserted one at a time, in placement order, into a basis that maps a
+    leading column to (row, placement).  At its leading column a row
+    takes q times the basis row off; if a remainder is left there, the
+    row takes the pivot and the former basis row carries on being
+    reduced, as in Euclid.  Each row operation is appended to one flat
+    log instead of being applied to a transform, as (i, q, b): placement
+    i's row -= q * placement b's row.  A negation, of a row that lands on
+    a free column with a negative lead, is (i, 2, i).  A row's operations
+    are logged only once it holds a pivot: a row reduced to zero is never
+    a basis row again, so the backward replay reaches its later
+    operations with its coefficient still 0, and they are dropped.
 
     Colour cell (q, r) by (q - r) mod 3: every tile covers the three
     colours with equal parity, so the window lattice lies inside the
@@ -259,18 +295,17 @@ class IntegerLattice:
     coefficients.  Exact big-integer arithmetic throughout.
     """
 
-    def __init__(self, placements, window):
-        self.placements = list(placements)
-        self.cells = sorted(window)
-        self._cell_index = {c: i for i, c in enumerate(self.cells)}
-        m = len(self.cells)
+    def __init__(self, cells, rows):
+        self.cells = cells
+        self._cell_index = {c: i for i, c in enumerate(cells)}
+        self._n_placements = len(rows)  # the length of every solution
+        m = len(cells)
         index = 1 << min(len({(q - r) % 3 for q, r in self.cells}), 2)
         basis = {}  # leading column -> (row, placement)
         log = []
         det = 1  # the product of the pivots
         used = 0
-        for i, t in enumerate(_tile_indices(self.placements,
-                                            self._cell_index)):
+        for i, t in enumerate(rows):
             if len(basis) == m and det == index:
                 break
             used += 1
@@ -314,7 +349,7 @@ class IntegerLattice:
         if any(v and c not in index for c, v in target.items()):
             return None
         resid = {index[c]: v for c, v in target.items() if v}
-        y = [0] * len(self.placements)
+        y = [0] * self._n_placements
         for col, row, k in self._basis:
             if col not in resid:
                 continue
@@ -337,22 +372,23 @@ def solve_cell_target(target: dict, kinds=KINDS, window=None,
     The low-level entry point: `target` may be any integer-valued cell map,
     not necessarily a valid region indicator, so no boundary test is made.
     Every value must be an int; any other, a bool or a float included,
-    raises ValueError naming its cell.
+    raises ValueError naming its cell.  A `Placement` is made only for a
+    non-zero coefficient.
     """
     for cell, v in target.items():
         if type(v) is not int:
             raise ValueError(f"cell {cell!r}: value {v!r} is not an integer")
     if window is None:
         window = pad_window([c for c, v in target.items() if v], padding)
-    placements = enumerate_placements(window, kinds)
-    lattice = IntegerLattice(placements, window)
-    x = lattice.solve(target)
+    cells, placements, rows = _placement_table(window, kinds)
+    x = IntegerLattice(cells, rows).solve(target)
     if x is None:
         return None
     entries = []
-    for placement, coeff in zip(placements, x):
-        sign = 1 if coeff > 0 else -1
-        entries.extend((placement, sign) for _ in range(abs(coeff)))
+    for p, coeff in zip(placements, x):
+        if coeff:
+            placement, sign = Placement(*p), 1 if coeff > 0 else -1
+            entries.extend((placement, sign) for _ in range(abs(coeff)))
     return SignedTiling(tuple(entries))
 
 
@@ -383,11 +419,12 @@ class TilingCount:
     cap_exceeded: bool
 
 
-def _exact_covers(cells, placements):
-    """Yield each exact cover of `cells` by `placements`, which must lie
-    inside it, as a list in the order chosen.  Depth first on an explicit
-    stack: each level takes the uncovered cell with the fewest fitting
-    candidates, ties by cell order, and tries them in placement order.
+def _exact_covers(n: int, tiles):
+    """Yield each exact cover of the cells 0..n-1 by `tiles`, the rows of
+    a placement table of those cells, as a list of tile numbers in the
+    order chosen.  Depth first on an explicit stack: each level takes the
+    uncovered cell with the fewest fitting candidates, ties by cell
+    order, and tries them in placement order.
 
     The counts are kept as in Knuth's dancing links: `dead[p]` is the
     number of covered cells of placement p, and `live[c]` the number of
@@ -400,10 +437,6 @@ def _exact_covers(cells, placements):
     An entry on top whose bound is below the count is replaced by the
     count, so the top, once current, is the least (live, cell) of all.
     """
-    order = sorted(cells)
-    n = len(order)
-    tiles = list(_tile_indices(placements,
-                               {c: i for i, c in enumerate(order)}))
     cands = [[] for _ in range(n)]  # cell -> placements, in their order
     for i, t in enumerate(tiles):
         for c in t:
@@ -430,7 +463,7 @@ def _exact_covers(cells, placements):
                     break
             levels.append(p for p in cands[cell] if not dead[p])
         else:
-            yield [placements[i] for i in chosen]
+            yield list(chosen)
         while levels:  # take the next candidate, backtracking
             if len(chosen) == len(levels):  # return the level's tile
                 tile = tiles[chosen.pop()]
@@ -491,10 +524,12 @@ def standard_tiling_solve(region: Region, kinds=KINDS, mode: str = "first",
         if klass is PMClass.OTHER or (klass is PMClass.MINUS_IDENTITY
                                       and "stone" not in kinds):
             return None if mode == "first" else TilingCount(0, False)
-    covers = _exact_covers(region.cells,
-                           enumerate_placements(region.cells, kinds))
+    cells, placements, rows = _placement_table(region.cells, kinds)
+    covers = _exact_covers(len(cells), rows)
     if mode == "first":
-        return next(covers, None)
+        cover = next(covers, None)
+        return None if cover is None else [Placement(*placements[i])
+                                           for i in cover]
     found = sum(1 for _ in islice(covers, cap + 1))
     return TilingCount(min(found, cap), found > cap)
 
@@ -634,17 +669,20 @@ def min_stone_probe(region: Region, padding: int = 2) -> StoneProbe:
     klass = boundary_obstruction_check(region)
     if klass is PMClass.OTHER:  # no signed tiling, with stones or without
         return StoneProbe(None, klass, None)
-    window = pad_window(region.cells, padding)
-    quiet = enumerate_placements(window, ("bone", "snake"))
-    lattice = IntegerLattice(quiet, window)
+    cells, placements, rows = _placement_table(
+        pad_window(region.cells, padding))
+    quiet, stones = [], []
+    for (shape, _), t in zip(placements, rows):
+        (stones if shape.kind == "stone" else quiet).append(t)
+    lattice = IntegerLattice(cells, quiet)
     target = {c: 1 for c in region.cells}
     if lattice.solve(target) is not None:
         return StoneProbe(0, klass, klass is PMClass.PLUS_IDENTITY)
-    for stone in enumerate_placements(window, ("stone",)):
+    for t in stones:
         for sign in (1, -1):
             shifted = dict(target)
-            for c in stone.cells():
-                shifted[c] = shifted.get(c, 0) - sign
+            for i in t:
+                shifted[cells[i]] = shifted.get(cells[i], 0) - sign
             if lattice.solve(shifted) is not None:
                 return StoneProbe(1, klass, klass is PMClass.MINUS_IDENTITY)
     return StoneProbe(None, klass, None)

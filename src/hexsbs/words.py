@@ -50,13 +50,18 @@ class WordError(ValueError):
         self.position = position
 
 
+class SizeError(ValueError):
+    """A size argument that breaks check_size's rule."""
+
+
 def check_size(name: str, value, low: int) -> None:
     """The library's one rule for a size argument: exactly an int (a bool
-    or a float is refused, never coerced), and at least `low`."""
+    or a float is refused, never coerced), and at least `low`; SizeError
+    otherwise."""
     if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
+        raise SizeError(f"{name} must be an int, got {value!r}")
     if value < low:
-        raise ValueError(f"{name} must be >= {low}")
+        raise SizeError(f"{name} must be >= {low}")
 
 
 @dataclass(frozen=True)

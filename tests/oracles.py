@@ -621,18 +621,19 @@ class DenseIntegerLattice:
 
     Targets are integer vectors over the window cells; membership and a
     particular solution come from forward substitution along the HNF rows.
-    Exact big-integer arithmetic throughout.
+    Exact big-integer arithmetic throughout.  Each placement is given by
+    its set of cells.
     """
 
-    def __init__(self, placements, window):
-        self.placements = list(placements)
+    def __init__(self, tiles, window):
+        tiles = list(tiles)
         self.cells = sorted(window)
         self._cell_index = {c: i for i, c in enumerate(self.cells)}
-        n, m = len(self.placements), len(self.cells)
+        n, m = len(tiles), len(self.cells)
         rows = []
-        for p in self.placements:
+        for tile in tiles:
             row = [0] * m
-            for c in p.cells():
+            for c in tile:
                 row[self._cell_index[c]] = 1
             rows.append(row)
         transform = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -679,7 +680,7 @@ class DenseIntegerLattice:
                     return None
                 continue
             resid[i] = value
-        coeffs_rows = [0] * len(self.placements)
+        coeffs_rows = [0] * len(self._rows)
         for pr, pc in self._pivots:
             if resid[pc] == 0:
                 continue
@@ -690,7 +691,7 @@ class DenseIntegerLattice:
             resid = [a - t * b for a, b in zip(resid, self._rows[pr])]
         if any(resid):
             return None
-        x = [0] * len(self.placements)
+        x = [0] * len(self._rows)
         for i, t in enumerate(coeffs_rows):
             if t:
                 for j, u in enumerate(self._transform[i]):

@@ -122,6 +122,8 @@ def test_check_region_rejects_non_list_cells(capsys, tmp_path):
      "error: RecursionError: maximum recursion depth exceeded\n"),
     (KeyError("two\nlines"), "error: KeyError: 'two\\nlines'\n"),
     (RuntimeError("two\nlines"), "error: RuntimeError: two lines\n"),
+    (ValueError("bound must be >= 1"),
+     "error: ValueError: bound must be >= 1\n"),  # not a size error
 ])
 def test_unexpected_failure_exits_2_without_traceback(capsys, monkeypatch,
                                                       exc, line):
@@ -388,6 +390,34 @@ def test_census_rejects_bad_partitions(capsys, partitions):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "partitions" in err
+
+
+# every size flag of the command line, just below its floor
+SIZE_FLOORS = [
+    (["solve-signed", "--in", "hex7.json", "--padding", "-1"], "padding", 0),
+    (["solve-exact", "--in", "bone.json", "--cap", "-1"], "cap", 0),
+    (["solve-exact", "--in", "bone.json", "--count", "--cap", "-1"], "cap",
+     0),
+    (["probe-stones", "--in", "crescent.json", "--padding", "-1"], "padding",
+     0),
+    (["enumerate", "--max-length", "1"], "max_word_length", 2),
+    (["enumerate", "--census", "--max-length", "1"], "max_word_length", 2),
+    (["enumerate", "--partitions", "0"], "partitions", 1),
+    (["reduce", "--max-length", "1"], "max_word_length", 2),
+    (["reduce", "--partitions", "0"], "partitions", 1),
+    (["group-probe", "--bound", "0"], "bound", 1),
+    (["endpoints", "--max-length", "-1"], "max_length", 0),
+]
+
+
+@pytest.mark.parametrize("argv, name, floor", SIZE_FLOORS,
+                         ids=[" ".join(w for w in a if w != "--in"
+                                       and not w.endswith(".json"))
+                              for a, _, _ in SIZE_FLOORS])
+def test_size_below_its_floor_is_an_input_error(capsys, argv, name, floor):
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    assert invoke(capsys, *argv) == \
+        (2, "", f"error: {name} must be >= {floor}\n")
 
 
 BONE_STEP = {"action": "add", "kind": "bone", "orientation": "left",

@@ -25,7 +25,7 @@ from hexsbs.hexgrid import (Region, RegionError, grow_random_region,
                             region_validate)
 from hexsbs.tiling import (KINDS, ConstructionStep, IntegerLattice, Placement,
                            SignedTiling, StoneProbe, TilingCount,
-                           _exact_covers,
+                           _exact_covers, _placement_table,
                            boundary_obstruction_check,
                            constructible_sequence_check, enumerate_placements,
                            min_stone_probe, pad_window, signed_tiling_solve,
@@ -183,6 +183,31 @@ def test_enumerate_placements_matches_anchor_scan_on_any_cells(cells, shift,
         anchor_scan_placements(window, kinds)
 
 
+@settings(max_examples=150, deadline=None)
+@given(cells=st.sets(st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+                     max_size=40),
+       shift=st.sampled_from([(0, 0), (-7, -3), (2 ** 64 + 5, -2 ** 70)]))
+@example(cells=set(), shift=(0, 0))
+@example(cells=set(HEX7_CELLS) - {(0, 0)}, shift=(0, 0))  # a hole
+def test_placement_table_matches_anchor_scan_for_every_kind_set(cells,
+                                                                 shift):
+    # the table's placements are the anchor scan's, and each row numbers
+    # the placement's cells in the sorted cells, in offset order
+    sq, sr = shift
+    window = {(q + sq, r + sr) for q, r in cells}
+    for kinds in (k for n in range(4)
+                  for k in itertools.combinations(KINDS, n)):
+        order, placed, rows = _placement_table(window, kinds)
+        assert order == sorted(window)
+        assert placed == [(p.shape, p.anchor)
+                          for p in anchor_scan_placements(window, kinds)]
+        assert len(rows) == len(placed)
+        index = {c: i for i, c in enumerate(order)}
+        for p, row in zip(placed, rows):
+            assert row == tuple(index[c]
+                                for c in sorted(Placement(*p).cells()))
+
+
 def test_catalog_offsets_are_the_sorted_cells():
     for shape in tile_catalog():
         assert len(shape.cells) in (3, 4) and (0, 0) in shape.cells
@@ -192,11 +217,16 @@ def test_catalog_offsets_are_the_sorted_cells():
                 {(q + aq, r + ar) for q, r in shape.offsets}
 
 
+def window_lattice(window, kinds=KINDS):
+    """The window's placements, as enumerate_placements gives them, and
+    the lattice of the placement table's rows."""
+    cells, _, rows = _placement_table(window, kinds)
+    return enumerate_placements(window, kinds), IntegerLattice(cells, rows)
+
+
 def test_integer_lattice_solves_combinations():
     rng = random.Random(31)
-    window = pad_window(HEX7_CELLS, 1)
-    placements = enumerate_placements(window)
-    lattice = IntegerLattice(placements, window)
+    placements, lattice = window_lattice(pad_window(HEX7_CELLS, 1))
     for _ in range(30):
         chosen = rng.sample(range(len(placements)), rng.randrange(1, 7))
         coeffs = {i: rng.choice([-2, -1, 1, 2]) for i in chosen}
@@ -218,8 +248,7 @@ def test_integer_lattice_solves_combinations():
 def test_integer_lattice_rejects_unreachable():
     # a single cell cannot be bone-covered inside its own 3-cell window
     window = frozenset([(0, 0), (0, 1), (0, 2)])
-    placements = enumerate_placements(window, ("bone",))
-    lattice = IntegerLattice(placements, window)
+    _, lattice = window_lattice(window, ("bone",))
     assert lattice.solve({(0, 0): 1}) is None
 
 
@@ -232,15 +261,17 @@ def net_of(placements, x) -> dict:
     return {c: v for c, v in net.items() if v}
 
 
-def assert_lattice_matches_dense(placements, window, targets):
-    """The lattice has the dense oracle's pivot columns and positive pivot
-    values, the diagonal of the Hermite normal form, which the lattice
-    alone fixes for a fixed column order; its operation log, all
-    (i, q, b) over placement numbers, replayed on identity rows turns the
-    placements into its basis rows; it answers each target in or out as
-    the dense oracle does, and every x it returns reproduces the target."""
-    lattice = IntegerLattice(placements, window)
-    dense = DenseIntegerLattice(placements, window)
+def assert_lattice_matches_dense(window, kinds, targets):
+    """The lattice of the window's placement table has the dense oracle's
+    pivot columns and positive pivot values, the diagonal of the Hermite
+    normal form, which the lattice alone fixes for a fixed column order;
+    its operation log, all (i, q, b) over placement numbers, replayed on
+    identity rows turns the placements into its basis rows; it answers
+    each target in or out as the dense oracle does, and every x it
+    returns reproduces the target.  The oracle and the checks read the
+    placements from enumerate_placements."""
+    placements, lattice = window_lattice(window, kinds)
+    dense = DenseIntegerLattice([p.cells() for p in placements], window)
     n = len(placements)
     assert [(col, row[col]) for col, row, _ in lattice._basis] == \
         [(col, dense._rows[r][col]) for r, col in dense._pivots]
@@ -261,9 +292,12 @@ def assert_lattice_matches_dense(placements, window, targets):
 
 
 def dense_stone_probe(region, padding, monkeypatch):
+    def dense(cells, rows):  # the oracle, on the rows' cell sets
+        return DenseIntegerLattice([{cells[i] for i in t} for t in rows],
+                                   cells)
+
     with monkeypatch.context() as patched:
-        patched.setattr("hexsbs.tiling.IntegerLattice",
-                        DenseIntegerLattice)
+        patched.setattr("hexsbs.tiling.IntegerLattice", dense)
         return min_stone_probe(region, padding)
 
 
@@ -274,8 +308,7 @@ def test_lattice_matches_dense_oracle_on_fixtures(monkeypatch):
         for padding in (0, 1, 2):
             window = pad_window(region.cells, padding)
             for kinds in (KINDS, ("bone", "snake")):
-                assert_lattice_matches_dense(
-                    enumerate_placements(window, kinds), window, [target])
+                assert_lattice_matches_dense(window, kinds, [target])
             assert min_stone_probe(region, padding) == \
                 dense_stone_probe(region, padding, monkeypatch), \
                 (name, padding)
@@ -290,8 +323,7 @@ def test_lattice_matches_dense_oracle_on_random_regions(monkeypatch):
         window = pad_window(region.cells, padding)
         kinds = rng.choice([KINDS, ("bone", "snake")])
         target = {c: 1 for c in region.cells}
-        x, = assert_lattice_matches_dense(
-            enumerate_placements(window, kinds), window, [target])
+        x, = assert_lattice_matches_dense(window, kinds, [target])
         solved += x is not None
         assert min_stone_probe(region, padding) == \
             dense_stone_probe(region, padding, monkeypatch)
@@ -304,8 +336,8 @@ def test_lattice_matches_dense_oracle_on_integer_targets():
     for _ in range(12):
         region = grow_random_region(rng, rng.randrange(1, 8))
         window = pad_window(region.cells, rng.choice([1, 2]))
-        placements = enumerate_placements(
-            window, rng.choice([KINDS, ("bone", "snake"), ("bone",)]))
+        kinds = rng.choice([KINDS, ("bone", "snake"), ("bone",)])
+        placements = enumerate_placements(window, kinds)
         cells = sorted(window)
         targets = []
         for _ in range(10):
@@ -323,7 +355,7 @@ def test_lattice_matches_dense_oracle_on_integer_targets():
         targets.append({**targets[0], outside: 0})  # a zero is no obstacle
         targets += [{**t, outside: rng.choice([-3, -2, -1, 1, 2, 3])}
                     for t in targets[:3]]
-        got = assert_lattice_matches_dense(placements, window, targets)
+        got = assert_lattice_matches_dense(window, kinds, targets)
         assert got[-3:] == [None] * 3
         answers += got
     assert sum(x is None for x in answers) < len(answers)
@@ -339,8 +371,8 @@ def test_lattice_pivots_match_dense_for_every_kind_set(kinds):
     for _ in range(8):
         region = grow_random_region(rng, rng.randrange(1, 10))
         window = pad_window(region.cells, rng.choice([0, 1, 2]))
-        assert_lattice_matches_dense(enumerate_placements(window, kinds),
-                                     window, [{c: 1 for c in region.cells}])
+        assert_lattice_matches_dense(window, kinds,
+                                     [{c: 1 for c in region.cells}])
 
 
 def _pivot_product(lattice):
@@ -353,8 +385,7 @@ def test_lattice_stops_at_the_colour_index(kinds):
     # hex7 padded by 2 holds all three colours, so the lattice of the
     # vectors with equal colour parities has index 4
     window = pad_window(HEX7_CELLS, 2)
-    placements = enumerate_placements(window, kinds)
-    lattice = IntegerLattice(placements, window)
+    placements, lattice = window_lattice(window, kinds)
     assert len(lattice._basis) == len(window)
     assert _pivot_product(lattice) == 4
     assert lattice.rows_used < len(placements)
@@ -362,8 +393,7 @@ def test_lattice_stops_at_the_colour_index(kinds):
 
 def test_bones_alone_insert_every_row():
     window = pad_window(HEX7_CELLS, 2)
-    placements = enumerate_placements(window, ("bone",))
-    lattice = IntegerLattice(placements, window)
+    placements, lattice = window_lattice(window, ("bone",))
     assert lattice.rows_used == len(placements)
     assert len(lattice._basis) < len(window) or _pivot_product(lattice) > 4
 
@@ -534,6 +564,14 @@ def tile_built_region(rng, tiles):
     return region_validate(cells)
 
 
+def table_covers(cells, kinds=KINDS):
+    """_exact_covers on the placement table of `cells`, each cover as
+    Placements."""
+    order, placed, rows = _placement_table(cells, kinds)
+    for cover in _exact_covers(len(order), rows):
+        yield [Placement(*placed[i]) for i in cover]
+
+
 def test_exact_cover_matches_recursive_oracle():
     rng = random.Random(57)
     regions = [region_validate(cells) for cells in
@@ -572,7 +610,7 @@ def test_exact_cover_sequence_matches_rescan_oracle(seed, built, kinds, cap):
     else:
         region = grow_random_region(rng, rng.randrange(1, 25))
     placements = enumerate_placements(region.cells, kinds)
-    got = list(islice(_exact_covers(region.cells, placements), cap + 1))
+    got = list(islice(table_covers(region.cells, kinds), cap + 1))
     want = list(islice(rescan_exact_covers(region.cells, placements),
                        cap + 1))
     assert got == want
@@ -599,7 +637,7 @@ def test_exact_cover_sequence_matches_rescan_oracle_when_backtracking():
     for region, cap in cases:
         placements = enumerate_placements(region.cells)
         stop = None if cap is None else cap + 1
-        got = list(islice(_exact_covers(region.cells, placements), stop))
+        got = list(islice(table_covers(region.cells), stop))
         want = list(islice(rescan_exact_covers(region.cells, placements),
                            stop))
         assert got == want, sorted(region.cells)
@@ -801,8 +839,7 @@ def test_exact_cover_gate_matches_ungated_search(seed, built, kinds):
         region = tile_built_region(rng, rng.randrange(1, 7))
     else:
         region = grow_random_region(rng, rng.randrange(1, 25))
-    placements = enumerate_placements(region.cells, kinds)
-    covers = list(islice(_exact_covers(region.cells, placements), 101))
+    covers = list(islice(table_covers(region.cells, kinds), 101))
     assert standard_tiling_solve(region, kinds) == \
         (covers[0] if covers else None)
     assert standard_tiling_solve(region, kinds, "count", cap=100) == \
@@ -811,14 +848,14 @@ def test_exact_cover_gate_matches_ungated_search(seed, built, kinds):
 
 def test_exact_cover_gate_answers_before_any_placement(monkeypatch):
     def no_placements(*args, **kwargs):
-        raise AssertionError("placements enumerated for a gated region")
+        raise AssertionError("placement table built for a gated region")
 
     hex4 = region_validate([(q, r) for q in range(-3, 4)
                             for r in range(-3, 4) if abs(q + r) <= 3])
     stone = region_validate(tile_shape("stone", "left").cells)
     assert boundary_obstruction_check(hex4) is PMClass.OTHER
     assert boundary_obstruction_check(stone) is PMClass.MINUS_IDENTITY
-    monkeypatch.setattr("hexsbs.tiling.enumerate_placements", no_placements)
+    monkeypatch.setattr("hexsbs.tiling._placement_table", no_placements)
     for region, kinds in ((hex4, KINDS), (hex4, ("bone",)),
                           (stone, ("bone", "snake")), (stone, ("bone",))):
         assert standard_tiling_solve(region, kinds) is None
@@ -828,9 +865,9 @@ def test_exact_cover_gate_answers_before_any_placement(monkeypatch):
     # positive control: a region the gate passes reaches the patched name
     bone = region_validate(tile_shape("bone", "vertical").cells)
     for region, kinds in ((bone, ("bone",)), (stone, KINDS)):
-        with pytest.raises(AssertionError, match="placements enumerated"):
+        with pytest.raises(AssertionError, match="placement table built"):
             standard_tiling_solve(region, kinds)
-        with pytest.raises(AssertionError, match="placements enumerated"):
+        with pytest.raises(AssertionError, match="placement table built"):
             standard_tiling_solve(region, kinds, "count", 10)
 
 
@@ -1095,8 +1132,8 @@ def test_other_region_is_answered_before_any_placement(monkeypatch):
         return called
 
     real_pad_window = pad_window
-    monkeypatch.setattr("hexsbs.tiling.enumerate_placements",
-                        spy("enumerate_placements"))
+    monkeypatch.setattr("hexsbs.tiling._placement_table",
+                        spy("_placement_table"))
     monkeypatch.setattr("hexsbs.tiling.pad_window", spy("pad_window"))
     side6 = region_validate([(q, r) for q in range(-5, 6)
                              for r in range(-5, 6) if abs(q + r) <= 5])
@@ -1116,10 +1153,9 @@ def test_other_region_is_answered_before_any_placement(monkeypatch):
             solve(bone)
     monkeypatch.setattr("hexsbs.tiling.pad_window", real_pad_window)
     for solve in (signed_tiling_solve, min_stone_probe):
-        with pytest.raises(AssertionError,
-                           match="enumerate_placements called"):
+        with pytest.raises(AssertionError, match="_placement_table called"):
             solve(bone)
-    with pytest.raises(AssertionError, match="enumerate_placements called"):
+    with pytest.raises(AssertionError, match="_placement_table called"):
         solve_cell_target({c: 1 for c in bone.cells}, window=bone.cells)
 
 
