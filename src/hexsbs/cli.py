@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import fixtures, svg
 from .cyclo import PMClass
-from .hexgrid import Region, RegionError, region_from_ascii, region_from_json
+from .hexgrid import Region, region_from_ascii, region_from_json
 from .search import (SearchConfig, enumerate_identity_words,
                      group_closure_probe, identity_endpoint_lattice,
                      identity_word_census, reduce_relation_list,
@@ -33,28 +33,36 @@ class InputError(Exception):
     pass
 
 
+def _read_text(path: str) -> str:
+    """The file's text; a file that is not UTF-8 is input that names it.
+    An OSError is left to the caller."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text: {e}") from e
+
+
 def load_region(path: str, allow_empty: bool = False) -> Region:
     try:
-        text = Path(path).read_text()
+        text = _read_text(path)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
     try:
         if path.endswith((".txt", ".ascii")):
             return region_from_ascii(text, allow_empty)
         return region_from_json(text, allow_empty)
-    except (RegionError, json.JSONDecodeError, ValueError) as e:
+    except ValueError as e:  # RegionError and JSONDecodeError are ones
         raise InputError(f"{path}: {e}") from e
 
 
 def load_word(path_or_literal: str) -> Word:
-    p = Path(path_or_literal)
     text = path_or_literal
     try:
-        is_file = p.is_file()
+        is_file = Path(path_or_literal).is_file()
     except OSError:  # a literal word too long to be a file name
         is_file = False
     if is_file:
-        text = p.read_text().strip()
+        text = _read_text(path_or_literal).strip()
     try:
         return parse_word(text)
     except WordError as e:
@@ -63,9 +71,11 @@ def load_word(path_or_literal: str) -> Word:
 
 def _read_json(path: str):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(_read_text(path))
     except (OSError, ValueError) as e:
         raise InputError(f"{path}: {e}") from e
+    except RecursionError as e:  # arrays nested past the parser's stack
+        raise InputError(f"{path}: JSON nested too deep to read: {e}") from e
 
 
 def _emit(obj) -> None:
@@ -153,7 +163,14 @@ def cmd_enumerate(args) -> int:
     # built first, so that --census checks both options too
     cfg = SearchConfig(args.max_length, args.partitions)
     if args.census:
-        _emit(identity_word_census(cfg.max_word_length).to_json())
+        report = identity_word_census(cfg.max_word_length).to_json()
+        try:
+            _emit(report)
+        except ValueError as e:  # json.dumps met a count too long to print
+            raise InputError(
+                f"--max-length {cfg.max_word_length}: a census count has "
+                "more digits than Python's limit on converting an int to "
+                f"text ({sys.get_int_max_str_digits()} digits)") from e
         return 0
     records = enumerate_identity_words(cfg)
     for record in records:

@@ -336,7 +336,10 @@ def ring_arcs(cell, cells) -> int:
 # --- region file formats ---------------------------------------------------
 
 def region_from_json(text: str, allow_empty: bool = False) -> Region:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError as e:  # arrays nested past the parser's stack
+        raise RegionError(f"JSON nested too deep to read: {e}") from e
     if not isinstance(data, dict) or not isinstance(data.get("cells"), list):
         raise RegionError('region JSON must be {"cells": [[q, r], ...]}')
     return region_validate(data["cells"], allow_empty)

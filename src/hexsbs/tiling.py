@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import islice
-from operator import itemgetter
+from operator import and_, itemgetter, or_
 
 from . import fixtures
 from .cyclo import PMClass
@@ -161,38 +161,90 @@ def _neighbour_walk(offsets: tuple) -> tuple:
 _WALKS = tuple(_neighbour_walk(s.offsets) for s in _CATALOG)
 
 
+def _bone_back(bone: TileShape) -> int:
+    """The number of direction -d, for the bone's axis d: the difference
+    of its first two offsets, (1, 0), (0, 1) or (1, -1), each a step to
+    a later cell in sorted order."""
+    (aq, ar), (bq, br) = bone.offsets[:2]
+    return NEIGHBOR_OFFSETS.index((aq - bq, ar - br))
+
+
+_BONE_BACKS = tuple((s.index, _bone_back(s)) for s in _CATALOG
+                    if s.kind == "bone")
+
+
+def _neighbour_lists(cells, shapes, more=()) -> tuple:
+    """The sorted cells, numbered once, and one list for each direction
+    the shapes' walks take and each in `more`: the number of each cell's
+    neighbour that way, or n where it has none, with n at n."""
+    order = sorted(set(cells))
+    n = len(order)
+    index = dict(zip(order, range(n)))
+    step = {_STAY: list(range(n + 1))}  # direction -> neighbour numbers
+    for k in {k for s in shapes for k in _WALKS[s.index][0]}.union(more):
+        if k not in step:
+            dq, dr = NEIGHBOR_OFFSETS[k]
+            step[k] = [index.get((q + dq, r + dr), n)
+                       for q, r in order] + [n]
+    return order, step
+
+
+def _fits(n: int, step: dict, shapes):
+    """For each shape, the tuples (i, w, x, y, z) of the cell numbers its
+    walk visits from each anchor number i where it fits, in anchor order.
+    The walk is followed by integer list indexing, no tuple hashed, and
+    fits when no step comes out n."""
+    for shape in shapes:
+        a, b, c, d = (step[k] for k in _WALKS[shape.index][0])
+        yield [(i, w, x, y, z) for i in range(n)
+               if (w := a[i]) != n and (x := b[w]) != n
+               and (y := c[x]) != n and (z := d[y]) != n]
+
+
 def _placement_table(cells, kinds=KINDS) -> tuple:
     """The placements of the selected kinds lying entirely inside `cells`,
     as (sorted cells, [(shape, anchor)], rows), where a placement's row
     holds its cells' numbers in the sorted cells, in offset order.  The
-    placements come in (catalog, anchor) order.
-
-    The cells are numbered once, and each direction a selected shape's
-    walk takes gets one list: the number of each cell's neighbour that
-    way, or n where it has none, with n at n.  A shape is then tried at
-    each anchor by following its walk with integer list indexing, no
-    tuple hashed, and fits when no step comes out n.  An unknown kind, or
-    a string, raises ValueError.
+    placements come in (catalog, anchor) order.  An unknown kind, or a
+    string, raises ValueError.
     """
     kinds = _tile_kinds(kinds)
-    order = sorted(set(cells))
-    n = len(order)
-    index = dict(zip(order, range(n)))
     shapes = [s for s in _CATALOG if s.kind in kinds]
-    step = {_STAY: list(range(n + 1))}  # direction -> neighbour numbers
-    for k in {k for s in shapes for k in _WALKS[s.index][0]} - {_STAY}:
-        dq, dr = NEIGHBOR_OFFSETS[k]
-        step[k] = [index.get((q + dq, r + dr), n) for q, r in order] + [n]
+    order, step = _neighbour_lists(cells, shapes)
     placements, rows = [], []
-    for shape in shapes:
-        walk, picks = _WALKS[shape.index]
-        a, b, c, d = (step[k] for k in walk)
-        fit = [(i, w, x, y, z) for i in range(n)
-               if (w := a[i]) != n and (x := b[w]) != n
-               and (y := c[x]) != n and (z := d[y]) != n]
-        rows += map(picks, fit)
+    for shape, fit in zip(shapes, _fits(len(order), step, shapes)):
+        rows += map(_WALKS[shape.index][1], fit)
         placements += [(shape, order[t[0]]) for t in fit]
     return order, placements, rows
+
+
+def _lattice_table(cells, kinds=KINDS) -> tuple:
+    """The placement table of `cells` with one more list, `spanned`: for
+    each row, whether the bone identity of IntegerLattice puts it in the
+    lattice of the rows before it.  That holds for shape s at anchor b
+    when, for the axis d of a selected bone before s in the catalog, s
+    also fits at b - d and b - 2d.  The two anchors' numbers are read off
+    the neighbour list for -d, a whole shape's at a time by `map`."""
+    kinds = _tile_kinds(kinds)
+    shapes = [s for s in _CATALOG if s.kind in kinds]
+    bones = [(i, k) for i, k in _BONE_BACKS if "bone" in kinds]
+    order, step = _neighbour_lists(cells, shapes, [k for _, k in bones])
+    placements, rows, spanned = [], [], []
+    for shape, fit in zip(shapes, _fits(len(order), step, shapes)):
+        rows += map(_WALKS[shape.index][1], fit)
+        placements += [(shape, order[t[0]]) for t in fit]
+        anchors = list(map(itemgetter(0), fit))
+        fits = set(anchors).__contains__
+        flags = [False] * len(fit)
+        for i, k in bones:
+            if i < shape.index:
+                back = step[k].__getitem__
+                behind = list(map(back, anchors))  # b - d, then b - 2d
+                both = map(and_, map(fits, behind),
+                           map(fits, map(back, behind)))
+                flags = list(map(or_, flags, both))
+        spanned += flags
+    return order, placements, rows, spanned
 
 
 def enumerate_placements(window, kinds=KINDS) -> list:
@@ -289,13 +341,33 @@ class IntegerLattice:
     Kind sets without snakes, snakes alone and tiny windows never reach
     the index and insert every row.
 
+    Most rows are not reduced at all, by a tiling identity in the spirit
+    of Conway-Lagarias.  Three translates of a shape s along a bone's
+    axis d, where the bone covers c, c + d and c + 2d, cover what the
+    bones along d at the first translate's cells cover:
+
+        s(b - 2d) + s(b - d) + s(b) = sum of bone_d(c), c in s(b - 2d).
+
+    Each of those bones lies in the window, since its cells are cells of
+    the three translates.  When bone_d comes before s in the catalog and
+    s(b - d) and s(b - 2d) are placements, every other term is an earlier
+    row, since b - d and b - 2d are earlier anchors; so row s(b) lies in
+    the lattice of the rows before it, which the basis spans.  Its
+    reduction would take an exact multiple off at each leading column and
+    end at zero, with no remainder, no pivot and no logged operation, so
+    skipping it leaves the basis, the log, the pivot product and every
+    certificate as they were.  `spanned` flags those rows, as
+    `_lattice_table` gives it; a skipped row still counts in `rows_used`,
+    and in `rows_skipped`.  The rows left to reduce number about the
+    window's cells.
+
     Targets are integer vectors over the window cells; membership comes
     from forward substitution along the basis in column order, and a
     particular solution from replaying the log backwards on the pivot
     coefficients.  Exact big-integer arithmetic throughout.
     """
 
-    def __init__(self, cells, rows):
+    def __init__(self, cells, rows, spanned):
         self.cells = cells
         self._cell_index = {c: i for i, c in enumerate(cells)}
         self._n_placements = len(rows)  # the length of every solution
@@ -304,11 +376,14 @@ class IntegerLattice:
         basis = {}  # leading column -> (row, placement)
         log = []
         det = 1  # the product of the pivots
-        used = 0
+        used = skipped = 0
         for i, t in enumerate(rows):
             if len(basis) == m and det == index:
                 break
             used += 1
+            if spanned[i]:
+                skipped += 1
+                continue
             row = dict.fromkeys(t, 1)
             ops = []  # the row's operations since it last held a pivot
             while row:
@@ -334,6 +409,7 @@ class IntegerLattice:
         self._basis = [(c, *basis[c]) for c in sorted(basis)]
         self._log = log
         self.rows_used = used
+        self.rows_skipped = skipped
 
     def solve(self, target: dict):
         """Integer coefficients x with sum x_i * placement_i = target, or
@@ -380,8 +456,8 @@ def solve_cell_target(target: dict, kinds=KINDS, window=None,
             raise ValueError(f"cell {cell!r}: value {v!r} is not an integer")
     if window is None:
         window = pad_window([c for c, v in target.items() if v], padding)
-    cells, placements, rows = _placement_table(window, kinds)
-    x = IntegerLattice(cells, rows).solve(target)
+    cells, placements, rows, spanned = _lattice_table(window, kinds)
+    x = IntegerLattice(cells, rows, spanned).solve(target)
     if x is None:
         return None
     entries = []
@@ -669,12 +745,18 @@ def min_stone_probe(region: Region, padding: int = 2) -> StoneProbe:
     klass = boundary_obstruction_check(region)
     if klass is PMClass.OTHER:  # no signed tiling, with stones or without
         return StoneProbe(None, klass, None)
-    cells, placements, rows = _placement_table(
+    cells, placements, rows, spanned = _lattice_table(
         pad_window(region.cells, padding))
-    quiet, stones = [], []
-    for (shape, _), t in zip(placements, rows):
-        (stones if shape.kind == "stone" else quiet).append(t)
-    lattice = IntegerLattice(cells, quiet)
+    # the identity reads only bones and the shape itself, so the flags
+    # hold for the rows without stones, whose order is the same
+    quiet, quiet_spanned, stones = [], [], []
+    for (shape, _), t, s in zip(placements, rows, spanned):
+        if shape.kind == "stone":
+            stones.append(t)
+        else:
+            quiet.append(t)
+            quiet_spanned.append(s)
+    lattice = IntegerLattice(cells, quiet, quiet_spanned)
     target = {c: 1 for c in region.cells}
     if lattice.solve(target) is not None:
         return StoneProbe(0, klass, klass is PMClass.PLUS_IDENTITY)

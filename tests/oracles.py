@@ -12,7 +12,8 @@ validation, winding numbers by ray crossings,
 the former per-step boundary walk of the sequence check, tiling counts
 by raw subset search,
 the former anchor-scan placement enumeration, the former recursive and
-rescanning exact covers, dense-transform lattice, word-by-word
+rescanning exact covers, dense-transform lattice, the former lattice
+row insertion that reduces every row, word-by-word
 endpoint walk and reduced-word endpoint frontier, the former group
 probe by Mat2 closure and matrix powers, group orders from a
 presentation alone by coset enumeration (no matrices at all), and the
@@ -35,9 +36,10 @@ from hexsbs.hexgrid import (_EDGE_LETTERS, NEIGHBOR_OFFSETS,
                             lattice_to_plane, neighbors, plane_to_lattice)
 from hexsbs.search import (_FOLLOWERS, START_LETTERS, GroupProbeResult,
                            RelationRecord, Reduction)
-from hexsbs.tiling import (KINDS, Placement, SequenceReport, StepRecord,
-                           TilingCount, boundary_obstruction_check,
-                           enumerate_placements, tile_catalog)
+from hexsbs.tiling import (KINDS, IntegerLattice, Placement, SequenceReport,
+                           StepRecord, TilingCount, _subtract,
+                           boundary_obstruction_check, enumerate_placements,
+                           tile_catalog)
 from hexsbs.words import (STEP_GROUP, STEP_LETTERS, STEP_MATRICES,
                           STEP_TO_EDGES, Word, WordError, eval_word,
                           is_least_member, step_word)
@@ -697,6 +699,52 @@ class DenseIntegerLattice:
                 for j, u in enumerate(self._transform[i]):
                     x[j] += t * u
         return x
+
+
+class InsertionLattice(IntegerLattice):
+    """The former row insertion of IntegerLattice, which reduces every row
+    up to the stop at the colouring's index, with no row skipped.  It
+    keeps IntegerLattice's solve."""
+
+    def __init__(self, cells, rows):
+        self.cells = cells
+        self._cell_index = {c: i for i, c in enumerate(cells)}
+        self._n_placements = len(rows)  # the length of every solution
+        m = len(cells)
+        index = 1 << min(len({(q - r) % 3 for q, r in self.cells}), 2)
+        basis = {}  # leading column -> (row, placement)
+        log = []
+        det = 1  # the product of the pivots
+        used = 0
+        for i, t in enumerate(rows):
+            if len(basis) == m and det == index:
+                break
+            used += 1
+            row = dict.fromkeys(t, 1)
+            ops = []  # the row's operations since it last held a pivot
+            while row:
+                col = min(row)
+                if col not in basis:
+                    if row[col] < 0:
+                        row = {k: -a for k, a in row.items()}
+                        ops.append((i, 2, i))
+                    basis[col] = row, i
+                    det *= row[col]
+                    log += ops
+                    break
+                base, b = basis[col]
+                q = row[col] // base[col]
+                if q:
+                    _subtract(row, q, base)
+                    ops.append((i, q, b))
+                if col in row:  # a remainder: the row takes the pivot
+                    det = det // base[col] * row[col]
+                    basis[col] = row, i
+                    log += ops
+                    row, i, ops = base, b, []
+        self._basis = [(c, *basis[c]) for c in sorted(basis)]
+        self._log = log
+        self.rows_used = used
 
 
 def transform_from_log(log, n: int) -> list:

@@ -10,6 +10,7 @@ import pytest
 
 from hexsbs import cli, cyclo, hexgrid, svg
 from hexsbs.cli import run
+from hexsbs.search import identity_word_census
 from hexsbs.tiling import SignedTiling, signed_tiling_verify
 from hexsbs.hexgrid import region_validate
 
@@ -203,6 +204,31 @@ def test_missing_file(capsys):
     assert "error" in err
 
 
+UNREADABLE = {
+    "not_utf8": (b'\xff\xfe{"cells": [[0, 0]]}', "not UTF-8 text: "),
+    "nested": (b"[" * 5000 + b"]" * 5000, "JSON nested too deep to read: "),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["check-region"], ["solve-exact"], ["check-sequence"],
+    ["render", "--subject", "tiling", "--out", "out.svg"]],
+    ids=lambda c: c[0])
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_file_is_an_input_error_naming_it(capsys, tmp_path,
+                                                      monkeypatch, command,
+                                                      case):
+    monkeypatch.chdir(tmp_path)
+    data, reason = UNREADABLE[case]
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = invoke(capsys, *command, "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: {reason}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out.svg").exists()
+
+
 def test_solve_signed_hex7(capsys):
     code, out, _ = invoke(capsys, "solve-signed", "--in",
                           str(FIXTURES / "hex7.json"),
@@ -381,6 +407,23 @@ def test_negative_numeric_option_exits_2(capsys, argv, option):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert option in err
+
+
+def test_census_past_the_int_to_text_limit_is_an_input_error(capsys):
+    code, out, err = invoke(capsys, "enumerate", "--census",
+                            "--max-length", "6300")
+    assert (code, out) == (2, "")
+    assert err == ("error: --max-length 6300: a census count has more "
+                   "digits than Python's limit on converting an int to text "
+                   f"({sys.get_int_max_str_digits()} digits)\n")
+
+
+def test_census_prints_to_length_6154_at_the_default_digit_limit():
+    # the README's figure, for Python's default limit of 4300 digits
+    counts = identity_word_census(6155).counts
+    assert counts[-1][0] == 6155
+    assert max(max(p, m) for _, p, m in counts[:-1]) < 10 ** 4300 \
+        <= max(counts[-1][1:])
 
 
 @pytest.mark.parametrize("partitions", ["0", "-1"])

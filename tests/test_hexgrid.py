@@ -479,6 +479,11 @@ def test_region_json_round_trip():
         region_from_json('{"not_cells": []}')
 
 
+def test_region_json_nested_past_the_parser_stack_is_a_region_error():
+    with pytest.raises(RegionError, match="JSON nested too deep to read"):
+        region_from_json("[" * 5000 + "]" * 5000)
+
+
 def test_region_ascii():
     region = region_from_ascii(".#.\n###\n###\n")
     assert len(region) == 7

@@ -25,7 +25,7 @@ from hexsbs.hexgrid import (Region, RegionError, grow_random_region,
                             region_validate)
 from hexsbs.tiling import (KINDS, ConstructionStep, IntegerLattice, Placement,
                            SignedTiling, StoneProbe, TilingCount,
-                           _exact_covers, _placement_table,
+                           _exact_covers, _lattice_table, _placement_table,
                            boundary_obstruction_check,
                            constructible_sequence_check, enumerate_placements,
                            min_stone_probe, pad_window, signed_tiling_solve,
@@ -34,8 +34,9 @@ from hexsbs.tiling import (KINDS, ConstructionStep, IntegerLattice, Placement,
 from hexsbs.words import (STEP_GROUP, STEP_MATRICES, closure, eval_word,
                           step_word)
 
-from oracles import (DenseIntegerLattice, anchor_scan_placements,
-                     brute_force_tiling_count, flood_is_simply_connected,
+from oracles import (DenseIntegerLattice, InsertionLattice,
+                     anchor_scan_placements, brute_force_tiling_count,
+                     flood_is_simply_connected,
                      recursive_exact_cover, rescan_exact_covers,
                      transform_from_log, walking_sequence_check,
                      winding_cells)
@@ -219,9 +220,10 @@ def test_catalog_offsets_are_the_sorted_cells():
 
 def window_lattice(window, kinds=KINDS):
     """The window's placements, as enumerate_placements gives them, and
-    the lattice of the placement table's rows."""
-    cells, _, rows = _placement_table(window, kinds)
-    return enumerate_placements(window, kinds), IntegerLattice(cells, rows)
+    the lattice of the lattice table's rows."""
+    cells, _, rows, spanned = _lattice_table(window, kinds)
+    return (enumerate_placements(window, kinds),
+            IntegerLattice(cells, rows, spanned))
 
 
 def test_integer_lattice_solves_combinations():
@@ -292,7 +294,7 @@ def assert_lattice_matches_dense(window, kinds, targets):
 
 
 def dense_stone_probe(region, padding, monkeypatch):
-    def dense(cells, rows):  # the oracle, on the rows' cell sets
+    def dense(cells, rows, spanned):  # the oracle, on the rows' cell sets
         return DenseIntegerLattice([{cells[i] for i in t} for t in rows],
                                    cells)
 
@@ -396,6 +398,73 @@ def test_bones_alone_insert_every_row():
     placements, lattice = window_lattice(window, ("bone",))
     assert lattice.rows_used == len(placements)
     assert len(lattice._basis) < len(window) or _pivot_product(lattice) > 4
+
+
+def identity_spans(placements, kinds) -> list:
+    """Per placement (shape, anchor), whether shape s at b has, for the
+    axis d of a selected bone before s, placements s(b - d) and s(b - 2d):
+    the rule read from sets of placements, with d from the bone's sorted
+    cells."""
+    placed = set(placements)
+    axes = []
+    for bone in tile_catalog():
+        if bone.kind == "bone" and "bone" in kinds:
+            (aq, ar), (bq, br), _ = sorted(bone.cells)
+            axes.append((bone.index, (bq - aq, br - ar)))
+    return [any(i < shape.index
+                and (shape, (q - dq, r - dr)) in placed
+                and (shape, (q - 2 * dq, r - 2 * dr)) in placed
+                for i, (dq, dr) in axes)
+            for shape, (q, r) in placements]
+
+
+LATTICE_KIND_SETS = [KINDS, ("bone", "snake"), ("bone",), ("bone", "stone"),
+                     ("stone", "snake"), ("snake",)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 60),
+       padding=st.integers(0, 3), kinds=st.sampled_from(LATTICE_KIND_SETS),
+       shift=st.sampled_from([(0, 0), (-7, 4), (2 ** 64 + 5, -2 ** 70)]))
+@example(seed=0, size=1, padding=2, kinds=KINDS, shift=(0, 0))
+def test_skipped_rows_leave_the_basis_and_log_of_full_insertion(
+        seed, size, padding, kinds, shift):
+    # every row the bone identity flags is skipped, and the basis, the
+    # log and the rows used are the oracle's, which reduces every row
+    region = grow_random_region(random.Random(seed), size)
+    sq, sr = shift
+    window = {(q + sq, r + sr) for q, r in pad_window(region.cells, padding)}
+    cells, placements, rows, spanned = _lattice_table(window, kinds)
+    assert spanned == identity_spans(placements, kinds)
+    lattice = IntegerLattice(cells, rows, spanned)
+    oracle = InsertionLattice(cells, rows)
+    assert lattice._basis == oracle._basis
+    assert lattice._log == oracle._log
+    assert lattice.rows_used == oracle.rows_used
+    assert lattice.rows_skipped == sum(spanned[:lattice.rows_used])
+    target = {(q + sq, r + sr): 1 for q, r in region.cells}
+    assert lattice.solve(target) == oracle.solve(target)
+
+
+@pytest.mark.parametrize("kinds, used, skipped",
+                         [(KINDS, 125, 78), (("bone", "snake"), 74, 34)],
+                         ids=["all", "bone,snake"])
+def test_rows_skipped_on_hex7_padded_by_2(kinds, used, skipped):
+    # 37 cells: all kinds reduce 47 rows, bones and snakes 40
+    _, lattice = window_lattice(pad_window(HEX7_CELLS, 2), kinds)
+    assert (lattice.rows_used, lattice.rows_skipped) == (used, skipped)
+
+
+def test_rows_reduced_grow_with_the_window_cells():
+    # a count, not a time: the rows reduced stay near one per window cell
+    blob = grow_random_region(random.Random(4), 300)
+    assert boundary_obstruction_check(blob) is PMClass.PLUS_IDENTITY
+    for cells, kinds in ((HEX7_CELLS, ("bone", "snake")),
+                         (blob.cells, KINDS)):
+        window = pad_window(cells, 2)
+        _, lattice = window_lattice(window, kinds)
+        assert lattice.rows_skipped > 0
+        assert lattice.rows_used - lattice.rows_skipped <= 1.25 * len(window)
 
 
 def colour_counts(cells) -> list:
@@ -1132,9 +1201,8 @@ def test_other_region_is_answered_before_any_placement(monkeypatch):
         return called
 
     real_pad_window = pad_window
-    monkeypatch.setattr("hexsbs.tiling._placement_table",
-                        spy("_placement_table"))
-    monkeypatch.setattr("hexsbs.tiling.pad_window", spy("pad_window"))
+    for name in ("_placement_table", "_lattice_table", "pad_window"):
+        monkeypatch.setattr(f"hexsbs.tiling.{name}", spy(name))
     side6 = region_validate([(q, r) for q in range(-5, 6)
                              for r in range(-5, 6) if abs(q + r) <= 5])
     for region in (load_region(str(FIXTURES / "single_cell.json")), side6):
@@ -1153,9 +1221,9 @@ def test_other_region_is_answered_before_any_placement(monkeypatch):
             solve(bone)
     monkeypatch.setattr("hexsbs.tiling.pad_window", real_pad_window)
     for solve in (signed_tiling_solve, min_stone_probe):
-        with pytest.raises(AssertionError, match="_placement_table called"):
+        with pytest.raises(AssertionError, match="_lattice_table called"):
             solve(bone)
-    with pytest.raises(AssertionError, match="_placement_table called"):
+    with pytest.raises(AssertionError, match="_lattice_table called"):
         solve_cell_target({c: 1 for c in bone.cells}, window=bone.cells)
 
 
