@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import islice
+from itertools import islice, repeat
 from operator import and_, itemgetter, or_
 
 from . import fixtures
@@ -122,10 +122,17 @@ def _tile_kinds(kinds) -> tuple:
 
 
 def pad_window(cells, padding: int) -> frozenset:
+    """The cells and every cell within `padding` neighbour steps of them.
+    Each step expands only the ring the step before added, since the
+    neighbours of the cells inside it are in the window already."""
     check_size("padding", padding, 0)
     window = set(cells)
+    ring = window
     for _ in range(padding):
-        window |= {n for c in window for n in neighbors(c)}
+        ring = {c for q, r in ring
+                for c in ((q + 1, r), (q, r + 1), (q - 1, r + 1),
+                          (q - 1, r), (q, r - 1), (q + 1, r - 1))} - window
+        window |= ring
     return frozenset(window)
 
 
@@ -171,6 +178,47 @@ def _bone_back(bone: TileShape) -> int:
 
 _BONE_BACKS = tuple((s.index, _bone_back(s)) for s in _CATALOG
                     if s.kind == "bone")
+
+# A 6-cell triangle is a stone and a bone in three ways, one bone per
+# side, so a stone at one corner and its translate at another differ by
+# two bones: s(b) + B2 = s(b - t) + B1, both sides the triangle.  Each
+# entry: the stone, t, then B1 and B2, each with its anchor less b; b - t
+# is an earlier anchor.
+_TRIANGLES = (
+    ("stone_left", (0, 1), ("bone_right", (-2, 1)), ("bone_left", (0, -1))),
+    ("stone_left", (1, -1), ("bone_vertical", (0, 0)),
+     ("bone_right", (-2, 2))),
+    ("stone_left", (1, 0), ("bone_vertical", (0, -1)),
+     ("bone_left", (0, -1))),
+    ("stone_right", (0, 1), ("bone_left", (1, -1)),
+     ("bone_right", (-1, -1))),
+    ("stone_right", (1, -1), ("bone_right", (-2, 0)),
+     ("bone_vertical", (-2, 0))),
+    ("stone_right", (1, 0), ("bone_left", (0, 0)),
+     ("bone_vertical", (-2, 0))),
+)
+
+
+def _triangle_side(stone: str, t: tuple, b1: tuple, b2: tuple) -> tuple:
+    """B2, the bone that completes the stone's triangle, as (i, j, k): the
+    bone's catalog index, and its anchor as a step in direction k from
+    the stone's j-th offset.  Asserts the identity as cell multisets."""
+    def cells(name, anchor):
+        return [*Placement(_BY_NAME[name], anchor).cells()]
+
+    triangle = sorted(cells(stone, (0, 0)) + cells(*b2))
+    assert len(set(triangle)) == 6, stone
+    assert triangle == sorted(cells(stone, (-t[0], -t[1])) + cells(*b1)), stone
+    name, (aq, ar) = b2
+    return next((_BY_NAME[name].index, j, k)
+                for j, (q, r) in enumerate(_BY_NAME[stone].offsets)
+                for k, (dq, dr) in enumerate(NEIGHBOR_OFFSETS)
+                if (q + dq, r + dr) == (aq, ar))
+
+
+# by catalog index; a triangle with two earlier corners is listed once
+_SIDES = tuple(tuple(dict.fromkeys(_triangle_side(*e) for e in _TRIANGLES
+                                   if e[0] == s.name)) for s in _CATALOG)
 
 
 def _neighbour_lists(cells, shapes, more=()) -> tuple:
@@ -218,33 +266,50 @@ def _placement_table(cells, kinds=KINDS) -> tuple:
     return order, placements, rows
 
 
-def _lattice_table(cells, kinds=KINDS) -> tuple:
-    """The placement table of `cells` with one more list, `spanned`: for
-    each row, whether the bone identity of IntegerLattice puts it in the
-    lattice of the rows before it.  That holds for shape s at anchor b
-    when, for the axis d of a selected bone before s in the catalog, s
-    also fits at b - d and b - 2d.  The two anchors' numbers are read off
-    the neighbour list for -d, a whole shape's at a time by `map`."""
+def _lattice_rows(cells, kinds=KINDS) -> tuple:
+    """The sorted cells of `cells`, and a generator that builds the rows
+    of the placement table of the selected kinds one shape at a time, in
+    catalog order, as (shape, anchor numbers, rows, spanned).  `spanned`
+    says for each row whether an identity of IntegerLattice puts it in
+    the lattice of the rows before it.  Both identities need bones.
+
+    The bone identity holds for shape s at anchor b when, for the axis d
+    of a bone before s in the catalog, s also fits at b - d and b - 2d;
+    the two anchors' numbers are read off the neighbour list for -d.  The
+    triangle identity holds for a stone when the bone B2 that completes
+    one of its triangles fits; B2's anchor is a neighbour of one of the
+    row's cells.  Both are read a whole shape at a time by `map`, over
+    integer lists, and no shape is built before it is asked for.  An
+    unknown kind, or a string, raises ValueError."""
     kinds = _tile_kinds(kinds)
     shapes = [s for s in _CATALOG if s.kind in kinds]
     bones = [(i, k) for i, k in _BONE_BACKS if "bone" in kinds]
-    order, step = _neighbour_lists(cells, shapes, [k for _, k in bones])
-    placements, rows, spanned = [], [], []
-    for shape, fit in zip(shapes, _fits(len(order), step, shapes)):
-        rows += map(_WALKS[shape.index][1], fit)
-        placements += [(shape, order[t[0]]) for t in fit]
-        anchors = list(map(itemgetter(0), fit))
-        fits = set(anchors).__contains__
-        flags = [False] * len(fit)
-        for i, k in bones:
-            if i < shape.index:
-                back = step[k].__getitem__
-                behind = list(map(back, anchors))  # b - d, then b - 2d
-                both = map(and_, map(fits, behind),
-                           map(fits, map(back, behind)))
-                flags = list(map(or_, flags, both))
-        spanned += flags
-    return order, placements, rows, spanned
+    sides = _SIDES if bones else ((),) * len(_CATALOG)
+    order, step = _neighbour_lists(
+        cells, shapes, [k for _, k in bones] +
+        [k for s in shapes for _, _, k in sides[s.index]])
+    n = len(order)
+
+    def shape_rows():
+        fitting = {}  # catalog index -> whether the shape fits at a number
+        for shape, fit in zip(shapes, _fits(n, step, shapes)):
+            anchors = list(map(itemgetter(0), fit))
+            rows = list(map(_WALKS[shape.index][1], fit))
+            fits = fitting[shape.index] = set(anchors).__contains__
+            flags = [False] * len(fit)
+            for i, k in bones:
+                if i < shape.index:
+                    back = step[k].__getitem__
+                    behind = list(map(back, anchors))  # b - d, then b - 2d
+                    both = map(and_, map(fits, behind),
+                               map(fits, map(back, behind)))
+                    flags = list(map(or_, flags, both))
+            for i, j, k in sides[shape.index]:
+                b2 = map(step[k].__getitem__, map(itemgetter(j), rows))
+                flags = list(map(or_, flags, map(fitting[i], b2)))
+            yield shape, anchors, rows, flags
+
+    return order, shape_rows()
 
 
 def enumerate_placements(window, kinds=KINDS) -> list:
@@ -314,20 +379,21 @@ def _subtract(row: dict, q: int, base: dict) -> None:
 class IntegerLattice:
     """Row lattice of placement indicator vectors, in echelon form.
 
-    It is built from a placement table of the window: `cells` in sorted
-    order and each placement's row of cell numbers 0..m-1, so each
-    placement is one sparse row with no cell set built.  The rows are
-    inserted one at a time, in placement order, into a basis that maps a
-    leading column to (row, placement).  At its leading column a row
-    takes q times the basis row off; if a remainder is left there, the
-    row takes the pivot and the former basis row carries on being
-    reduced, as in Euclid.  Each row operation is appended to one flat
-    log instead of being applied to a transform, as (i, q, b): placement
-    i's row -= q * placement b's row.  A negation, of a row that lands on
-    a free column with a negative lead, is (i, 2, i).  A row's operations
-    are logged only once it holds a pivot: a row reduced to zero is never
-    a basis row again, so the backward replay reaches its later
-    operations with its coefficient still 0, and they are dropped.
+    It reads the placement table of the window from `_lattice_rows` a
+    shape at a time, in (catalog, anchor) order: `cells` in sorted order
+    and each placement's row of cell numbers 0..m-1, so each placement is
+    one sparse row with no cell set built.  The rows are inserted one at
+    a time into a basis that maps a leading column to (row, placement).
+    At its leading column a row takes q times the basis row off; if a
+    remainder is left there, the row takes the pivot and the former basis
+    row carries on being reduced, as in Euclid.  Each row operation is
+    appended to one flat log instead of being applied to a transform, as
+    (i, q, b): placement i's row -= q * placement b's row.  A negation,
+    of a row that lands on a free column with a negative lead, is
+    (i, 2, i).  A row's operations are logged only once it holds a pivot:
+    a row reduced to zero is never a basis row again, so the backward
+    replay reaches its later operations with its coefficient still 0,
+    and they are dropped.
 
     Colour cell (q, r) by (q - r) mod 3: every tile covers the three
     colours with equal parity, so the window lattice lies inside the
@@ -337,77 +403,98 @@ class IntegerLattice:
     rank is m and its pivots multiply to that index all three are equal.
     Every later row then reduces to zero without taking a pivot, and the
     insertion stops there, with the basis, and so every certificate, that
-    inserting all rows would give; `rows_used` counts the rows inserted.
-    Kind sets without snakes, snakes alone and tiny windows never reach
-    the index and insert every row.
+    inserting all rows would give.  No shape after the one it stops in is
+    built.  `rows_used` counts the rows read, and `placements` holds
+    their (shape, anchor), in the order of every solution.  Kind sets
+    without snakes, snakes alone and tiny windows never reach the index
+    and read every row.
 
-    Most rows are not reduced at all, by a tiling identity in the spirit
-    of Conway-Lagarias.  Three translates of a shape s along a bone's
-    axis d, where the bone covers c, c + d and c + 2d, cover what the
-    bones along d at the first translate's cells cover:
+    Most rows are not reduced at all, by two tiling identities in the
+    spirit of Conway-Lagarias.  Three translates of a shape s along a
+    bone's axis d, where the bone covers c, c + d and c + 2d, cover what
+    the bones along d at the first translate's cells cover:
 
         s(b - 2d) + s(b - d) + s(b) = sum of bone_d(c), c in s(b - 2d).
 
     Each of those bones lies in the window, since its cells are cells of
     the three translates.  When bone_d comes before s in the catalog and
     s(b - d) and s(b - 2d) are placements, every other term is an earlier
-    row, since b - d and b - 2d are earlier anchors; so row s(b) lies in
-    the lattice of the rows before it, which the basis spans.  Its
-    reduction would take an exact multiple off at each leading column and
-    end at zero, with no remainder, no pivot and no logged operation, so
-    skipping it leaves the basis, the log, the pivot product and every
-    certificate as they were.  `spanned` flags those rows, as
-    `_lattice_table` gives it; a skipped row still counts in `rows_used`,
-    and in `rows_skipped`.  The rows left to reduce number about the
-    window's cells.
+    row, since b - d and b - 2d are earlier anchors.  And a 6-cell
+    triangle is a stone plus a bone in three ways, one bone per side, so
+    a stone at b and its translate at another corner of the triangle,
+    an earlier anchor b - t, differ by two bones:
+
+        s(b) = s(b - t) + B1 - B2.
+
+    When the triangle lies in the window all four are placements, and the
+    bones are earlier rows, since bones come before stones.  Either way
+    row s(b) lies in the lattice of the rows before it, which the basis
+    spans.  Its reduction would take an exact multiple off at each
+    leading column and end at zero, with no remainder, no pivot and no
+    logged operation, so skipping it leaves the basis, the log, the pivot
+    product and every certificate as they were.  `_lattice_rows` flags
+    those rows; a skipped row still counts in `rows_used`, and in
+    `rows_skipped`.  The rows left to reduce number about the window's
+    cells.
 
     Targets are integer vectors over the window cells; membership comes
     from forward substitution along the basis in column order, and a
     particular solution from replaying the log backwards on the pivot
-    coefficients.  Exact big-integer arithmetic throughout.
+    coefficients.  Exact big-integer arithmetic throughout.  An unknown
+    kind, or a string, raises ValueError.
     """
 
-    def __init__(self, cells, rows, spanned):
+    def __init__(self, window, kinds=KINDS):
+        cells, shapes = _lattice_rows(window, kinds)
         self.cells = cells
         self._cell_index = {c: i for i, c in enumerate(cells)}
-        self._n_placements = len(rows)  # the length of every solution
         m = len(cells)
-        index = 1 << min(len({(q - r) % 3 for q, r in self.cells}), 2)
+        index = 1 << min(len({(q - r) % 3 for q, r in cells}), 2)
         basis = {}  # leading column -> (row, placement)
         log = []
         det = 1  # the product of the pivots
+        placements = []
         used = skipped = 0
-        for i, t in enumerate(rows):
-            if len(basis) == m and det == index:
-                break
-            used += 1
-            if spanned[i]:
-                skipped += 1
-                continue
-            row = dict.fromkeys(t, 1)
-            ops = []  # the row's operations since it last held a pivot
-            while row:
-                col = min(row)
-                if col not in basis:
-                    if row[col] < 0:
-                        row = {k: -a for k, a in row.items()}
-                        ops.append((i, 2, i))
-                    basis[col] = row, i
-                    det *= row[col]
-                    log += ops
+        for shape, anchors, rows, spanned in shapes:
+            first = used
+            for t, flag in zip(rows, spanned):
+                if len(basis) == m and det == index:
                     break
-                base, b = basis[col]
-                q = row[col] // base[col]
-                if q:
-                    _subtract(row, q, base)
-                    ops.append((i, q, b))
-                if col in row:  # a remainder: the row takes the pivot
-                    det = det // base[col] * row[col]
-                    basis[col] = row, i
-                    log += ops
-                    row, i, ops = base, b, []
+                i = used
+                used += 1
+                if flag:
+                    skipped += 1
+                    continue
+                row = dict.fromkeys(t, 1)
+                ops = []  # the row's operations since it last held a pivot
+                while row:
+                    col = min(row)
+                    if col not in basis:
+                        if row[col] < 0:
+                            row = {k: -a for k, a in row.items()}
+                            ops.append((i, 2, i))
+                        basis[col] = row, i
+                        det *= row[col]
+                        log += ops
+                        break
+                    base, b = basis[col]
+                    q = row[col] // base[col]
+                    if q:
+                        _subtract(row, q, base)
+                        ops.append((i, q, b))
+                    if col in row:  # a remainder: the row takes the pivot
+                        det = det // base[col] * row[col]
+                        basis[col] = row, i
+                        log += ops
+                        row, i, ops = base, b, []
+            placements += zip(repeat(shape),
+                              map(cells.__getitem__, anchors[:used - first]))
+            if len(basis) == m and det == index:
+                break  # before the next shape is built
         self._basis = [(c, *basis[c]) for c in sorted(basis)]
         self._log = log
+        self._n_placements = used  # the length of every solution
+        self.placements = placements
         self.rows_used = used
         self.rows_skipped = skipped
 
@@ -456,12 +543,12 @@ def solve_cell_target(target: dict, kinds=KINDS, window=None,
             raise ValueError(f"cell {cell!r}: value {v!r} is not an integer")
     if window is None:
         window = pad_window([c for c, v in target.items() if v], padding)
-    cells, placements, rows, spanned = _lattice_table(window, kinds)
-    x = IntegerLattice(cells, rows, spanned).solve(target)
+    lattice = IntegerLattice(window, kinds)
+    x = lattice.solve(target)
     if x is None:
         return None
     entries = []
-    for p, coeff in zip(placements, x):
+    for p, coeff in zip(lattice.placements, x):
         if coeff:
             placement, sign = Placement(*p), 1 if coeff > 0 else -1
             entries.extend((placement, sign) for _ in range(abs(coeff)))
@@ -745,21 +832,12 @@ def min_stone_probe(region: Region, padding: int = 2) -> StoneProbe:
     klass = boundary_obstruction_check(region)
     if klass is PMClass.OTHER:  # no signed tiling, with stones or without
         return StoneProbe(None, klass, None)
-    cells, placements, rows, spanned = _lattice_table(
-        pad_window(region.cells, padding))
-    # the identity reads only bones and the shape itself, so the flags
-    # hold for the rows without stones, whose order is the same
-    quiet, quiet_spanned, stones = [], [], []
-    for (shape, _), t, s in zip(placements, rows, spanned):
-        if shape.kind == "stone":
-            stones.append(t)
-        else:
-            quiet.append(t)
-            quiet_spanned.append(s)
-    lattice = IntegerLattice(cells, quiet, quiet_spanned)
+    window = pad_window(region.cells, padding)
+    lattice = IntegerLattice(window, ("bone", "snake"))
     target = {c: 1 for c in region.cells}
     if lattice.solve(target) is not None:
         return StoneProbe(0, klass, klass is PMClass.PLUS_IDENTITY)
+    cells, _, stones = _placement_table(window, ("stone",))
     for t in stones:
         for sign in (1, -1):
             shifted = dict(target)

@@ -11,7 +11,8 @@ check and its letters-only walk, the former per-index region
 validation, winding numbers by ray crossings,
 the former per-step boundary walk of the sequence check, tiling counts
 by raw subset search,
-the former anchor-scan placement enumeration, the former recursive and
+the former anchor-scan placement enumeration, the former window padding
+that expands the whole window at each step, the former recursive and
 rescanning exact covers, dense-transform lattice, the former lattice
 row insertion that reduces every row, word-by-word
 endpoint walk and reduced-word endpoint frontier, the former group
@@ -41,8 +42,8 @@ from hexsbs.tiling import (KINDS, IntegerLattice, Placement, SequenceReport,
                            boundary_obstruction_check, enumerate_placements,
                            tile_catalog)
 from hexsbs.words import (STEP_GROUP, STEP_LETTERS, STEP_MATRICES,
-                          STEP_TO_EDGES, Word, WordError, eval_word,
-                          is_least_member, step_word)
+                          STEP_TO_EDGES, Word, WordError, check_size,
+                          eval_word, is_least_member, step_word)
 
 OMEGA_C = cmath.exp(1j * cmath.pi / 6)  # primitive 12th root of unity
 
@@ -613,6 +614,16 @@ def rescan_exact_covers(cells, placements):
             levels.pop()
         else:
             return
+
+
+def rescan_pad_window(cells, padding: int) -> frozenset:
+    """The former pad_window: each step adds the neighbours of every
+    cell of the window so far."""
+    check_size("padding", padding, 0)
+    window = set(cells)
+    for _ in range(padding):
+        window |= {n for c in window for n in neighbors(c)}
+    return frozenset(window)
 
 
 class DenseIntegerLattice:

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 import math
@@ -25,7 +26,8 @@ from hexsbs.hexgrid import (Region, RegionError, grow_random_region,
                             region_validate)
 from hexsbs.tiling import (KINDS, ConstructionStep, IntegerLattice, Placement,
                            SignedTiling, StoneProbe, TilingCount,
-                           _exact_covers, _lattice_table, _placement_table,
+                           _TRIANGLES, _exact_covers, _lattice_rows,
+                           _placement_table,
                            boundary_obstruction_check,
                            constructible_sequence_check, enumerate_placements,
                            min_stone_probe, pad_window, signed_tiling_solve,
@@ -38,6 +40,7 @@ from oracles import (DenseIntegerLattice, InsertionLattice,
                      anchor_scan_placements, brute_force_tiling_count,
                      flood_is_simply_connected,
                      recursive_exact_cover, rescan_exact_covers,
+                     rescan_pad_window,
                      transform_from_log, walking_sequence_check,
                      winding_cells)
 
@@ -220,10 +223,8 @@ def test_catalog_offsets_are_the_sorted_cells():
 
 def window_lattice(window, kinds=KINDS):
     """The window's placements, as enumerate_placements gives them, and
-    the lattice of the lattice table's rows."""
-    cells, _, rows, spanned = _lattice_table(window, kinds)
-    return (enumerate_placements(window, kinds),
-            IntegerLattice(cells, rows, spanned))
+    the window's lattice."""
+    return enumerate_placements(window, kinds), IntegerLattice(window, kinds)
 
 
 def test_integer_lattice_solves_combinations():
@@ -294,7 +295,8 @@ def assert_lattice_matches_dense(window, kinds, targets):
 
 
 def dense_stone_probe(region, padding, monkeypatch):
-    def dense(cells, rows, spanned):  # the oracle, on the rows' cell sets
+    def dense(window, kinds):  # the oracle, on the placements' cell sets
+        cells, _, rows = _placement_table(window, kinds)
         return DenseIntegerLattice([{cells[i] for i in t} for t in rows],
                                    cells)
 
@@ -400,26 +402,97 @@ def test_bones_alone_insert_every_row():
     assert len(lattice._basis) < len(window) or _pivot_product(lattice) > 4
 
 
+def hex_distance(q: int, r: int) -> int:
+    return max(abs(q), abs(r), abs(q + r))
+
+
+def is_triangle(cells) -> bool:
+    """Whether the cells are a 6-cell triangle: q >= a, r >= b and
+    q + r <= a + b + 2 at the least q and r, or that turned half a turn."""
+    qs, rs = {q for q, _ in cells}, {r for _, r in cells}
+    a, b, c, d = min(qs), min(rs), max(qs), max(rs)
+    return set(cells) in ({(a + i, b + j) for i in range(3)
+                           for j in range(3 - i)},
+                          {(c - i, d - j) for i in range(3)
+                           for j in range(3 - i)})
+
+
+@functools.cache
+def brute_force_triangle_identities() -> tuple:
+    """Every s(b) = s(b - t) + B1 - B2 for a stone s at b = (0, 0), with
+    b - t an earlier anchor, found by trying each bone placement with its
+    anchor within distance 3 as B2, as (stone, t, (B1, anchor of B1),
+    (B2, anchor of B2)) in the order found."""
+    near = [(q, r) for q in range(-6, 7) for r in range(-6, 7)
+            if hex_distance(q, r) <= 6]
+    bones = {Placement(s, a).cells(): (s.name, a)
+             for s in tile_catalog() if s.kind == "bone" for a in near}
+    found = []
+    for stone in tile_catalog():
+        if stone.kind != "stone":
+            continue
+        for cells, b2 in bones.items():
+            if hex_distance(*b2[1]) > 3 or cells & stone.cells:
+                continue
+            union = stone.cells | cells
+            for tq, tr in sorted(near):
+                if (tq, tr) > (0, 0):
+                    moved = Placement(stone, (-tq, -tr)).cells()
+                    if moved <= union and union - moved in bones:
+                        found.append((stone.name, (tq, tr),
+                                      bones[union - moved], b2))
+    return tuple(found)
+
+
+def test_triangle_identities_are_found_by_brute_force():
+    # the package's six identities are every stone that is an earlier
+    # translate plus a bone minus a bone, each a cell multiset inside one
+    # 6-cell triangle
+    def cells(name, anchor):
+        return list(Placement(tile_shape(*name.split("_", 1)),
+                              anchor).cells())
+
+    found = brute_force_triangle_identities()
+    assert sorted(found) == sorted(_TRIANGLES)
+    for stone, (tq, tr), (b1, d1), (b2, d2) in found:
+        triangle = cells(stone, (0, 0)) + cells(b2, d2)
+        assert sorted(triangle) == sorted(cells(stone, (-tq, -tr)) +
+                                          cells(b1, d1))
+        assert len(set(triangle)) == 6 and is_triangle(triangle)
+
+
 def identity_spans(placements, kinds) -> list:
     """Per placement (shape, anchor), whether shape s at b has, for the
-    axis d of a selected bone before s, placements s(b - d) and s(b - 2d):
-    the rule read from sets of placements, with d from the bone's sorted
-    cells."""
+    axis d of a selected bone before s, placements s(b - d) and s(b - 2d);
+    or, for a stone with bones selected, placements s(b - t), B1 and B2 of
+    an identity s(b) = s(b - t) + B1 - B2 found by brute force.  The rules
+    read from sets of placements, with d from the bone's sorted cells."""
     placed = set(placements)
-    axes = []
-    for bone in tile_catalog():
-        if bone.kind == "bone" and "bone" in kinds:
-            (aq, ar), (bq, br), _ = sorted(bone.cells)
-            axes.append((bone.index, (bq - aq, br - ar)))
-    return [any(i < shape.index
-                and (shape, (q - dq, r - dr)) in placed
-                and (shape, (q - 2 * dq, r - 2 * dr)) in placed
-                for i, (dq, dr) in axes)
-            for shape, (q, r) in placements]
+    axes, triangles = [], []
+    if "bone" in kinds:
+        for bone in tile_catalog():
+            if bone.kind == "bone":
+                (aq, ar), (bq, br), _ = sorted(bone.cells)
+                axes.append((bone.index, (bq - aq, br - ar)))
+        for stone, t, *bones in brute_force_triangle_identities():
+            triangles.append((stone, t, [
+                (tile_shape(*name.split("_", 1)), d) for name, d in bones]))
+
+    def spans(shape, q, r):
+        return any(i < shape.index
+                   and (shape, (q - dq, r - dr)) in placed
+                   and (shape, (q - 2 * dq, r - 2 * dr)) in placed
+                   for i, (dq, dr) in axes) or \
+            any(stone == shape.name and (shape, (q - tq, r - tr)) in placed
+                and all((bone, (q + dq, r + dr)) in placed
+                        for bone, (dq, dr) in bones)
+                for stone, (tq, tr), bones in triangles)
+
+    return [spans(shape, q, r) for shape, (q, r) in placements]
 
 
 LATTICE_KIND_SETS = [KINDS, ("bone", "snake"), ("bone",), ("bone", "stone"),
-                     ("stone", "snake"), ("snake",)]
+                     ("stone", "snake"), ("snake",), ("stone",)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -429,42 +502,89 @@ LATTICE_KIND_SETS = [KINDS, ("bone", "snake"), ("bone",), ("bone", "stone"),
 @example(seed=0, size=1, padding=2, kinds=KINDS, shift=(0, 0))
 def test_skipped_rows_leave_the_basis_and_log_of_full_insertion(
         seed, size, padding, kinds, shift):
-    # every row the bone identity flags is skipped, and the basis, the
-    # log and the rows used are the oracle's, which reduces every row
+    # the shapes built are the placement table's; every row an identity
+    # flags is skipped, and the basis, the log, the rows used and the
+    # solution on them are the oracle's, which reduces every row
     region = grow_random_region(random.Random(seed), size)
     sq, sr = shift
     window = {(q + sq, r + sr) for q, r in pad_window(region.cells, padding)}
-    cells, placements, rows, spanned = _lattice_table(window, kinds)
+    cells, placements, rows = _placement_table(window, kinds)
+    order, shapes = _lattice_rows(window, kinds)
+    built = list(shapes)
+    assert order == cells
+    assert [(s, cells[a]) for s, anchors, _, _ in built
+            for a in anchors] == placements
+    assert [t for _, _, ts, _ in built for t in ts] == rows
+    spanned = [f for _, _, _, fs in built for f in fs]
     assert spanned == identity_spans(placements, kinds)
-    lattice = IntegerLattice(cells, rows, spanned)
+    lattice = IntegerLattice(window, kinds)
     oracle = InsertionLattice(cells, rows)
+    used = lattice.rows_used
     assert lattice._basis == oracle._basis
     assert lattice._log == oracle._log
-    assert lattice.rows_used == oracle.rows_used
-    assert lattice.rows_skipped == sum(spanned[:lattice.rows_used])
+    assert used == oracle.rows_used
+    assert lattice.rows_skipped == sum(spanned[:used])
+    assert lattice.placements == placements[:used]
     target = {(q + sq, r + sr): 1 for q, r in region.cells}
-    assert lattice.solve(target) == oracle.solve(target)
+    x, want = lattice.solve(target), oracle.solve(target)
+    if want is None:
+        assert x is None
+    else:
+        assert x == want[:used] and not any(want[used:])
 
 
 @pytest.mark.parametrize("kinds, used, skipped",
-                         [(KINDS, 125, 78), (("bone", "snake"), 74, 34)],
+                         [(KINDS, 125, 82), (("bone", "snake"), 74, 34)],
                          ids=["all", "bone,snake"])
 def test_rows_skipped_on_hex7_padded_by_2(kinds, used, skipped):
-    # 37 cells: all kinds reduce 47 rows, bones and snakes 40
+    # 37 cells: all kinds reduce 43 rows, bones and snakes 40
     _, lattice = window_lattice(pad_window(HEX7_CELLS, 2), kinds)
     assert (lattice.rows_used, lattice.rows_skipped) == (used, skipped)
+
+
+def test_lattice_builds_no_shape_after_the_one_it_stops_in(monkeypatch):
+    # on hex7 padded by 2 with all kinds the insertion stops after 125 of
+    # the table's 231 rows, inside the first snake's rows, and the five
+    # snakes after it are never built
+    real, built = _lattice_rows, []
+
+    def recording(window, kinds):
+        cells, shapes = real(window, kinds)
+        return cells, (built.append(s) or s for s in shapes)
+
+    monkeypatch.setattr("hexsbs.tiling._lattice_rows", recording)
+    window = pad_window(HEX7_CELLS, 2)
+    lattice = IntegerLattice(window)
+    sizes = [len(rows) for _, _, rows, _ in built]
+    assert lattice.rows_used == 125
+    assert len(_placement_table(window)[2]) == 231
+    assert sum(sizes[:-1]) < 125 <= sum(sizes)
+    assert [s for s, _, _, _ in built] == list(tile_catalog()[:6])
 
 
 def test_rows_reduced_grow_with_the_window_cells():
     # a count, not a time: the rows reduced stay near one per window cell
     blob = grow_random_region(random.Random(4), 300)
     assert boundary_obstruction_check(blob) is PMClass.PLUS_IDENTITY
-    for cells, kinds in ((HEX7_CELLS, ("bone", "snake")),
+    for cells, kinds in ((HEX7_CELLS, ("bone", "snake")), (HEX7_CELLS, KINDS),
                          (blob.cells, KINDS)):
         window = pad_window(cells, 2)
         _, lattice = window_lattice(window, kinds)
         assert lattice.rows_skipped > 0
         assert lattice.rows_used - lattice.rows_skipped <= 1.25 * len(window)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 40),
+       padding=st.integers(0, 4),
+       shift=st.sampled_from([(0, 0), (-7, 4), (2 ** 64 + 5, -2 ** 70),
+                              (-2 ** 65, 2 ** 64)]))
+def test_pad_window_matches_the_former_rescan(seed, size, padding, shift):
+    # each step expands only the ring the step before added
+    region = grow_random_region(random.Random(seed), size)
+    sq, sr = shift
+    cells = {(q + sq, r + sr) for q, r in region.cells}
+    assert pad_window(cells, padding) == rescan_pad_window(cells, padding)
 
 
 def colour_counts(cells) -> list:
@@ -1201,7 +1321,7 @@ def test_other_region_is_answered_before_any_placement(monkeypatch):
         return called
 
     real_pad_window = pad_window
-    for name in ("_placement_table", "_lattice_table", "pad_window"):
+    for name in ("_placement_table", "_lattice_rows", "pad_window"):
         monkeypatch.setattr(f"hexsbs.tiling.{name}", spy(name))
     side6 = region_validate([(q, r) for q in range(-5, 6)
                              for r in range(-5, 6) if abs(q + r) <= 5])
@@ -1221,9 +1341,9 @@ def test_other_region_is_answered_before_any_placement(monkeypatch):
             solve(bone)
     monkeypatch.setattr("hexsbs.tiling.pad_window", real_pad_window)
     for solve in (signed_tiling_solve, min_stone_probe):
-        with pytest.raises(AssertionError, match="_lattice_table called"):
+        with pytest.raises(AssertionError, match="_lattice_rows called"):
             solve(bone)
-    with pytest.raises(AssertionError, match="_lattice_table called"):
+    with pytest.raises(AssertionError, match="_lattice_rows called"):
         solve_cell_target({c: 1 for c in bone.cells}, window=bone.cells)
 
 
