@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from pathlib import Path
 
 from . import fixtures, svg
 from .cyclo import PMClass
@@ -37,7 +37,8 @@ def _read_text(path: str) -> str:
     """The file's text; a file that is not UTF-8 is input that names it.
     An OSError is left to the caller."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not UTF-8 text: {e}") from e
 
@@ -57,11 +58,8 @@ def load_region(path: str, allow_empty: bool = False) -> Region:
 
 def load_word(path_or_literal: str) -> Word:
     text = path_or_literal
-    try:
-        is_file = Path(path_or_literal).is_file()
-    except OSError:  # a literal word too long to be a file name
-        is_file = False
-    if is_file:
+    # isfile is False, not an OSError, for a literal too long to be a name
+    if os.path.isfile(path_or_literal):
         text = _read_text(path_or_literal).strip()
     try:
         return parse_word(text)
@@ -250,7 +248,8 @@ def cmd_render(args) -> int:
     else:
         doc = svg.render_path(load_word(args.infile), scale=args.scale)
     try:
-        Path(args.out).write_text(doc)
+        with open(args.out, "w") as f:
+            f.write(doc)
     except OSError as e:
         raise InputError(f"cannot write {args.out}: {e}") from e
     print(f"wrote {args.out}", file=sys.stderr)

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain, repeat
-from random import Random
 
+from .cyclo import Frozen, setters
 from .words import (STEP_TO_EDGES, Word, check_size, edges_to_steps,
                     step_word)
 
@@ -116,22 +116,31 @@ def left_cells(w: Word) -> frozenset:
     return frozenset(cells)
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Frozen):
     """A finite, edge-connected, simply connected set of cells.
 
     `walk` is the (cell, k, edge letters) that region_validate's
     _boundary_walk returned; a Region built directly has none, and
-    region_boundary_word makes, and so checks, its walk then."""
+    region_boundary_word makes, and so checks, its walk then.  Equality,
+    hash and repr read `cells` only."""
 
-    cells: frozenset
-    walk: tuple | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("cells", "walk")
+
+    def __init__(self, cells: frozenset, walk: tuple | None = None):
+        _set_cells(self, cells)
+        _set_walk(self, walk)
+
+    def _key(self) -> tuple:
+        return (self.cells,)
 
     def __len__(self) -> int:
         return len(self.cells)
 
     def sorted_cells(self):
         return sorted(self.cells)
+
+
+_set_cells, _set_walk = setters(Region)
 
 
 def neighbors(cell: Cell):
@@ -269,14 +278,12 @@ def region_validate(cells, allow_empty: bool = False) -> Region:
     return Region(cell_set, _boundary_walk(cell_set))
 
 
-@dataclass(frozen=True)
-class BoundaryWord:
+class BoundaryWord(namedtuple("BoundaryWord", "start word")):
     """Closed CCW boundary: the region interior lies on the left of the
-    walk, and the winding of `word` from `start` is +1 exactly on the
-    region's cells."""
+    walk, and the winding of the step Word `word` from the lattice point
+    `start` is +1 exactly on the region's cells."""
 
-    start: LatticePoint
-    word: Word
+    __slots__ = ()
 
 
 def region_boundary_word(region: Region) -> BoundaryWord:
@@ -297,8 +304,9 @@ def region_boundary_word(region: Region) -> BoundaryWord:
     return BoundaryWord(start, step_word(edges_to_steps(letters[::-1])))
 
 
-def grow_random_region(rng: Random, n_cells: int) -> Region:
-    """Random simply connected region grown by boundary accretion.
+def grow_random_region(rng, n_cells: int) -> Region:
+    """Random simply connected region grown by boundary accretion, drawing
+    from rng, a random.Random.
 
     Each step adds a random frontier cell whose neighbours in the region
     form one arc of its ring, so the Euler characteristic stays 1 (see

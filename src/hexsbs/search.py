@@ -27,8 +27,7 @@ visiting the words one by one.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .cyclo import PMClass
 from .hexgrid import STEP_DISPLACEMENTS
@@ -47,12 +46,12 @@ _FOLLOWERS = {last: tuple(ch for ch in STEP_LETTERS
 START_LETTERS = "XYZyz"
 
 
-@dataclass(frozen=True)
-class RelationRecord:
-    representative: str
-    value: PMClass
-    length: int
-    closed: bool
+class RelationRecord(namedtuple("RelationRecord",
+                                "representative value length closed")):
+    """A closure class's least member, its PMClass value, its length and
+    whether its path closes."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"length": self.length, "representative": self.representative,
@@ -67,14 +66,18 @@ class RelationRecord:
                 f'"value": "{self.value.value}"}}')
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    max_word_length: int = 10
-    partitions: int = 1
+class SearchConfig(namedtuple("SearchConfig",
+                              "max_word_length partitions")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_size("max_word_length", self.max_word_length, 2)
-        check_size("partitions", self.partitions, 1)
+    def __new__(cls, max_word_length: int = 10, partitions: int = 1):
+        check_size("max_word_length", max_word_length, 2)
+        check_size("partitions", partitions, 1)
+        return super().__new__(cls, max_word_length, partitions)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks the sizes too
+        return cls(*iterable)
 
 
 def _enumerate_partition(first_letters: str, max_word_length: int) -> list:
@@ -151,12 +154,12 @@ def enumerate_identity_words(cfg: SearchConfig = SearchConfig()) -> list:
     return records
 
 
-@dataclass(frozen=True)
-class Reduction:
-    """Outcome of shortening the relation list by earlier relations."""
+class Reduction(namedtuple("Reduction", "survivors casualties")):
+    """Outcome of shortening the relation list by earlier relations: a
+    tuple of surviving RelationRecords, and one of casualties, each a
+    (RelationRecord, factor, source_representative)."""
 
-    survivors: tuple
-    casualties: tuple  # of (RelationRecord, factor, source_representative)
+    __slots__ = ()
 
 
 def _windows(letters: str, h: int) -> set:
@@ -221,11 +224,12 @@ def verify_reduction_table() -> list:
     return out
 
 
-@dataclass(frozen=True)
-class GroupProbeResult:
-    order: int | None  # None = bound exceeded
-    bound: int
-    element_orders: tuple  # of (order, count), when finite
+class GroupProbeResult(namedtuple("GroupProbeResult",
+                                  "order bound element_orders")):
+    """order is None when the bound was exceeded; element_orders is a
+    tuple of (order, count), when the order is finite."""
+
+    __slots__ = ()
 
     @property
     def bound_exceeded(self) -> bool:
@@ -289,16 +293,14 @@ def identity_endpoint_lattice(max_length: int, sign: str = "both") -> list:
 
 # --- word census ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(namedtuple("CensusReport",
+                              "max_length counts group_size shortest_words")):
     """Per-length counts of cyclically reduced identity words ending in X,
-    from one transfer-matrix pass over the step group, plus a shortest
-    word of each group element."""
+    from one transfer-matrix pass over the step group, as a tuple of
+    (length, plus_count, minus_count), plus a shortest word of each group
+    element, as a tuple of (word, PMClass)."""
 
-    max_length: int
-    counts: tuple  # of (length, plus_count, minus_count)
-    group_size: int
-    shortest_words: tuple  # of (word, PMClass)
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

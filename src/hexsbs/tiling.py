@@ -12,7 +12,7 @@ it is answered from its boundary word alone, before any placement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import islice, repeat
 from operator import and_, itemgetter, or_
@@ -21,19 +21,18 @@ from . import fixtures
 from .cyclo import PMClass
 from .hexgrid import (NEIGHBOR_OFFSETS, Region, left_cells, neighbors,
                       region_boundary_word, region_validate, ring_arcs)
-from .words import Word, check_size, classify_pm, eval_word, step_word
+from .words import check_size, classify_pm, eval_word, step_word
 
 KINDS = ("bone", "stone", "snake")
 
 
-@dataclass(frozen=True)
-class TileShape:
-    kind: str
-    orientation: str
-    index: int  # position in catalog order
-    cells: frozenset  # cell offsets enclosed by boundary_word at the origin
-    offsets: tuple  # the same offsets, sorted; (0, 0) is one of them
-    boundary_word: Word
+class TileShape(namedtuple("TileShape", "kind orientation index cells "
+                                        "offsets boundary_word")):
+    """index is the position in catalog order; cells the frozenset of cell
+    offsets that the step Word boundary_word encloses at the origin, and
+    offsets the same, sorted, with (0, 0) one of them."""
+
+    __slots__ = ()
 
     @property
     def name(self) -> str:
@@ -74,10 +73,8 @@ def tile_shape(kind: str, orientation: str) -> TileShape:
         raise ValueError(f"unknown tile {kind}_{orientation}") from None
 
 
-@dataclass(frozen=True)
-class Placement:
-    shape: TileShape
-    anchor: tuple
+class Placement(namedtuple("Placement", "shape anchor")):
+    __slots__ = ()
 
     def cells(self) -> frozenset:
         aq, ar = self.anchor
@@ -320,11 +317,11 @@ def enumerate_placements(window, kinds=KINDS) -> list:
     return [Placement(*p) for p in _placement_table(window, kinds)[1]]
 
 
-@dataclass(frozen=True)
-class SignedTiling:
-    """Multiset of placements with unit +-1 coefficients."""
+class SignedTiling(namedtuple("SignedTiling", "entries")):
+    """Multiset of placements with unit +-1 coefficients: entries is a
+    tuple of (Placement, coeff)."""
 
-    entries: tuple  # of (Placement, coeff)
+    __slots__ = ()
 
     def to_json(self) -> list:
         return [{**p.to_json(), "coeff": c} for p, c in self.entries]
@@ -576,10 +573,8 @@ def signed_tiling_solve(region: Region, kinds=KINDS, padding: int = 2):
     return tiling
 
 
-@dataclass(frozen=True)
-class TilingCount:
-    count: int
-    cap_exceeded: bool
+class TilingCount(namedtuple("TilingCount", "count cap_exceeded")):
+    __slots__ = ()
 
 
 def _exact_covers(n: int, tiles):
@@ -703,10 +698,8 @@ def boundary_obstruction_check(region: Region) -> PMClass:
     return classify_pm(eval_word(region_boundary_word(region).word))
 
 
-@dataclass(frozen=True)
-class ConstructionStep:
-    action: str  # "add" | "remove"
-    placement: Placement
+class ConstructionStep(namedtuple("ConstructionStep", "action placement")):
+    __slots__ = ()  # action is "add" or "remove"
 
 
 def construction_step_from_json(obj: dict) -> ConstructionStep:
@@ -717,15 +710,10 @@ def construction_step_from_json(obj: dict) -> ConstructionStep:
     return ConstructionStep(action, placement)
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    index: int
-    action: str
-    kind: str
-    support_size: int
-    boundary_class: PMClass
-    ledger_sign: int
-    agrees: bool
+class StepRecord(namedtuple("StepRecord", "index action kind support_size "
+                                          "boundary_class ledger_sign "
+                                          "agrees")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"index": self.index, "action": self.action, "kind": self.kind,
@@ -734,12 +722,9 @@ class StepRecord:
                 "ledger_sign": self.ledger_sign, "agrees": self.agrees}
 
 
-@dataclass(frozen=True)
-class SequenceReport:
-    valid: bool
-    violation_index: int | None
-    violation_reason: str | None
-    records: tuple
+class SequenceReport(namedtuple("SequenceReport", "valid violation_index "
+                                                  "violation_reason records")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         out = {"valid": self.valid,
@@ -806,8 +791,8 @@ def constructible_sequence_check(steps) -> SequenceReport:
     return SequenceReport(True, None, None, tuple(records))
 
 
-@dataclass(frozen=True)
-class StoneProbe:
+class StoneProbe(namedtuple("StoneProbe", "stones boundary_class "
+                                          "parity_consistent")):
     """Window-relative minimum-stone probe, stopping at one stone.
 
     stones: 0, 1, or None for "at least 2 or unknown in this window".
@@ -816,9 +801,7 @@ class StoneProbe:
     weaker than boundary-constructibility.
     """
 
-    stones: int | None
-    boundary_class: PMClass
-    parity_consistent: bool | None
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"stones": self.stones if self.stones is not None

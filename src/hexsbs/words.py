@@ -27,10 +27,11 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add
 
-from .cyclo import (ALPHA, BETA, GAMMA, IDENTITY, Mat2, PMClass, classify_pm)
+from .cyclo import (ALPHA, BETA, GAMMA, IDENTITY, Frozen, Mat2, PMClass,
+                    classify_pm, setters)
 
 STEP_LETTERS = "XYZxyz"
 EDGE_LETTERS = "ABGabg"
@@ -64,31 +65,36 @@ def check_size(name: str, value, low: int) -> None:
         raise SizeError(f"{name} must be >= {low}")
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Frozen):
     """A sequence of letters over one alphabet, stored as a plain string."""
 
-    alphabet: str  # "step" | "edge"
-    letters: str
+    __slots__ = ("alphabet", "letters")  # alphabet is "step" or "edge"
 
-    def __post_init__(self):
-        if self.alphabet not in ("step", "edge"):
-            raise WordError(f"unknown alphabet {self.alphabet!r}")
-        if not isinstance(self.letters, str):
-            raise WordError(f"letters must be a str, got {self.letters!r}")
-        allowed = _LETTER_SETS[self.alphabet]
-        if allowed.issuperset(self.letters):
-            return  # one set test; the scan below only names the fault
-        i, ch = next((i, ch) for i, ch in enumerate(self.letters)
-                     if ch not in allowed)
-        raise WordError(
-            f"invalid {self.alphabet} letter {ch!r} at index {i}", i)
+    def __init__(self, alphabet: str, letters: str):
+        if alphabet not in ("step", "edge"):
+            raise WordError(f"unknown alphabet {alphabet!r}")
+        if not isinstance(letters, str):
+            raise WordError(f"letters must be a str, got {letters!r}")
+        allowed = _LETTER_SETS[alphabet]
+        if not allowed.issuperset(letters):  # the scan only names the fault
+            i, ch = next((i, ch) for i, ch in enumerate(letters)
+                         if ch not in allowed)
+            raise WordError(f"invalid {alphabet} letter {ch!r} at index {i}",
+                            i)
+        _set_alphabet(self, alphabet)
+        _set_letters(self, letters)
+
+    def _key(self) -> tuple:
+        return (self.alphabet, self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def __str__(self) -> str:
         return self.letters
+
+
+_set_alphabet, _set_letters = setters(Word)
 
 
 def step_word(letters: str) -> Word:
@@ -129,21 +135,29 @@ def rotate120(w: Word) -> Word:
     return Word("step", w.letters.translate(_STEP_ROTATE))
 
 
-@dataclass(frozen=True)
-class ClosureClass:
+class ClosureClass(Frozen):
     """All cyclic permutations, 120-degree rotations and inverses of a word.
 
-    The representative is the lexicographically least member under the
-    plain string order of the letters X < Y < Z < x < y < z.
+    The representative, a Word, is the lexicographically least member
+    under the plain string order of the letters X < Y < Z < x < y < z;
+    members is the frozenset of every member's letters.
     """
 
-    representative: Word
-    members: frozenset
+    __slots__ = ("representative", "members")
+
+    def __init__(self, representative: Word, members: frozenset):
+        _set_representative(self, representative)
+        _set_members(self, members)
+
+    def _key(self) -> tuple:
+        return (self.representative, self.members)
 
     def __contains__(self, w) -> bool:
         letters = w.letters if isinstance(w, Word) else w
         return letters in self.members
 
+
+_set_representative, _set_members = setters(ClosureClass)
 
 # the six variants of a word, in the order closure_variants yields them:
 # (source letter, reversed?, letter map), where the variant is the word,
@@ -232,8 +246,8 @@ EDGE_MATRICES: dict[str, Mat2] = {
 }
 
 
-@dataclass(frozen=True)
-class StepGroup:
+class StepGroup(namedtuple("StepGroup",
+                           "elements step pm shortest orders")):
     """The group generated by the step matrices, as one transition row per
     letter over element indices.  A product elements[i] * elements[j] is
     the walk from i along the letters of shortest[j].
@@ -241,14 +255,13 @@ class StepGroup:
     Element 0 is the identity.  Elements are numbered in the breadth-first
     order in which right-multiplication by the letters XYZxyz first
     reaches them, so shortest[i] is the least word, in length and then in
-    letter order, with value elements[i].
+    letter order, with value elements[i].  Each of elements (the exact
+    Mat2), pm (the PMClass), shortest and orders is a tuple over the
+    elements; step maps a letter to its row, step[ch][i] = index of
+    elements[i] * M(ch).
     """
 
-    elements: tuple  # exact Mat2 of each element
-    step: dict  # letter -> row: step[ch][i] = index of elements[i] * M(ch)
-    pm: tuple  # PMClass of each element
-    shortest: tuple  # shortest word of each element
-    orders: tuple  # order of each element
+    __slots__ = ()
 
 
 def _build_step_group() -> StepGroup:
