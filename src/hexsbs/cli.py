@@ -226,9 +226,24 @@ def cmd_endpoints(args) -> int:
 def cmd_render(args) -> int:
     if not 0 < args.scale < float("inf"):
         raise InputError(f"--scale must be finite and > 0, got {args.scale}")
+    try:
+        doc = _render_doc(args)
+    except OverflowError as e:  # a finite scale can still overflow
+        raise InputError(f"--scale {args.scale} is too large: {e}") from e
+    try:
+        with open(args.out, "w") as f:
+            f.write(doc)
+    except OSError as e:
+        raise InputError(f"cannot write {args.out}: {e}") from e
+    print(f"wrote {args.out}", file=sys.stderr)
+    return 0
+
+
+def _render_doc(args) -> str:
+    """The SVG text of the subject read from args.infile."""
     if args.subject == "region":
-        doc = svg.render_region(load_region(args.infile), args.scale)
-    elif args.subject == "tiling":
+        return svg.render_region(load_region(args.infile), args.scale)
+    if args.subject == "tiling":
         data = _read_json(args.infile)
         region = None
         entries = data
@@ -244,16 +259,8 @@ def cmd_render(args) -> int:
         if bad is not None:
             raise InputError(f"{args.infile}: the certificate does not tile "
                              f"the region at cell {list(bad[0])}")
-        doc = svg.render_tiling(tiling, args.scale, region)
-    else:
-        doc = svg.render_path(load_word(args.infile), scale=args.scale)
-    try:
-        with open(args.out, "w") as f:
-            f.write(doc)
-    except OSError as e:
-        raise InputError(f"cannot write {args.out}: {e}") from e
-    print(f"wrote {args.out}", file=sys.stderr)
-    return 0
+        return svg.render_tiling(tiling, args.scale, region)
+    return svg.render_path(load_word(args.infile), scale=args.scale)
 
 
 _PARTITIONS_HELP = ("split the search by first letter into this many parts, "

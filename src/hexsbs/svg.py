@@ -52,6 +52,9 @@ class _Doc:
         pad = 8.0
         x0, y0 = min(xs) - pad, min(ys) - pad
         w, h = max(xs) - min(xs) + 2 * pad, max(ys) - min(ys) + 2 * pad
+        if not all(abs(v) < float("inf") for v in (x0, y0, w, h)):
+            raise OverflowError(f"the drawing's extent {w} x {h} is not "
+                                "finite")
         head = (f'<svg xmlns="http://www.w3.org/2000/svg" '
                 f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}" '
                 f'width="{_fmt(w)}" height="{_fmt(h)}">')

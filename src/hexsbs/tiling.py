@@ -165,85 +165,41 @@ def _neighbour_walk(offsets: tuple) -> tuple:
 _WALKS = tuple(_neighbour_walk(s.offsets) for s in _CATALOG)
 
 
-def _bone_back(bone: TileShape) -> int:
-    """The number of direction -d, for the bone's axis d: the difference
-    of its first two offsets, (1, 0), (0, 1) or (1, -1), each a step to
-    a later cell in sorted order."""
-    (aq, ar), (bq, br) = bone.offsets[:2]
-    return NEIGHBOR_OFFSETS.index((aq - bq, ar - br))
-
-
-_BONE_BACKS = tuple((s.index, _bone_back(s)) for s in _CATALOG
-                    if s.kind == "bone")
-
-# A 6-cell triangle is a stone and a bone in three ways, one bone per
-# side, so a stone at one corner and its translate at another differ by
-# two bones: s(b) + B2 = s(b - t) + B1, both sides the triangle.  Each
-# entry: the stone, t, then B1 and B2, each with its anchor less b; b - t
-# is an earlier anchor.
-_TRIANGLES = (
-    ("stone_left", (0, 1), ("bone_right", (-2, 1)), ("bone_left", (0, -1))),
-    ("stone_left", (1, -1), ("bone_vertical", (0, 0)),
-     ("bone_right", (-2, 2))),
-    ("stone_left", (1, 0), ("bone_vertical", (0, -1)),
-     ("bone_left", (0, -1))),
-    ("stone_right", (0, 1), ("bone_left", (1, -1)),
-     ("bone_right", (-1, -1))),
-    ("stone_right", (1, -1), ("bone_right", (-2, 0)),
-     ("bone_vertical", (-2, 0))),
-    ("stone_right", (1, 0), ("bone_left", (0, 0)),
-     ("bone_vertical", (-2, 0))),
-)
-
-
-def _triangle_side(stone: str, t: tuple, b1: tuple, b2: tuple) -> tuple:
-    """B2, the bone that completes the stone's triangle, as (i, j, k): the
-    bone's catalog index, and its anchor as a step in direction k from
-    the stone's j-th offset.  Asserts the identity as cell multisets."""
-    def cells(name, anchor):
-        return [*Placement(_BY_NAME[name], anchor).cells()]
-
-    triangle = sorted(cells(stone, (0, 0)) + cells(*b2))
-    assert len(set(triangle)) == 6, stone
-    assert triangle == sorted(cells(stone, (-t[0], -t[1])) + cells(*b1)), stone
-    name, (aq, ar) = b2
-    return next((_BY_NAME[name].index, j, k)
-                for j, (q, r) in enumerate(_BY_NAME[stone].offsets)
-                for k, (dq, dr) in enumerate(NEIGHBOR_OFFSETS)
-                if (q + dq, r + dr) == (aq, ar))
-
-
-# by catalog index; a triangle with two earlier corners is listed once
-_SIDES = tuple(tuple(dict.fromkeys(_triangle_side(*e) for e in _TRIANGLES
-                                   if e[0] == s.name)) for s in _CATALOG)
-
-
-def _neighbour_lists(cells, shapes, more=()) -> tuple:
-    """The sorted cells, numbered once, and one list for each direction
-    the shapes' walks take and each in `more`: the number of each cell's
-    neighbour that way, or n where it has none, with n at n."""
+def _placement_builder(cells, kinds=KINDS) -> tuple:
+    """The placement table of the selected kinds in `cells`, built as it
+    is read, as (sorted cells, their numbers by cell, step, shapes).
+    step(k) is the neighbour list for direction k: the number of each
+    cell's neighbour that way, or n where it has none, with n at n; each
+    list is built when it is first asked for.  shapes yields (shape,
+    anchor numbers, rows) one shape at a time, in catalog order and
+    anchor order, and builds no shape before it is asked for; a row holds
+    a placement's cell numbers in offset order.  A shape's walk is
+    followed by integer list indexing, no tuple hashed, and fits where no
+    step comes out n.  An unknown kind, or a string, raises ValueError."""
+    kinds = _tile_kinds(kinds)
     order = sorted(set(cells))
     n = len(order)
     index = dict(zip(order, range(n)))
-    step = {_STAY: list(range(n + 1))}  # direction -> neighbour numbers
-    for k in {k for s in shapes for k in _WALKS[s.index][0]}.union(more):
-        if k not in step:
+    lists = {_STAY: list(range(n + 1))}  # direction -> neighbour numbers
+
+    def step(k: int) -> list:
+        if k not in lists:
             dq, dr = NEIGHBOR_OFFSETS[k]
-            step[k] = [index.get((q + dq, r + dr), n)
-                       for q, r in order] + [n]
-    return order, step
+            lists[k] = [index.get((q + dq, r + dr), n)
+                        for q, r in order] + [n]
+        return lists[k]
 
+    def shapes():
+        for shape in _CATALOG:
+            if shape.kind in kinds:
+                directions, pick = _WALKS[shape.index]
+                a, b, c, d = map(step, directions)
+                fit = [(i, w, x, y, z) for i in range(n)
+                       if (w := a[i]) != n and (x := b[w]) != n
+                       and (y := c[x]) != n and (z := d[y]) != n]
+                yield shape, [t[0] for t in fit], list(map(pick, fit))
 
-def _fits(n: int, step: dict, shapes):
-    """For each shape, the tuples (i, w, x, y, z) of the cell numbers its
-    walk visits from each anchor number i where it fits, in anchor order.
-    The walk is followed by integer list indexing, no tuple hashed, and
-    fits when no step comes out n."""
-    for shape in shapes:
-        a, b, c, d = (step[k] for k in _WALKS[shape.index][0])
-        yield [(i, w, x, y, z) for i in range(n)
-               if (w := a[i]) != n and (x := b[w]) != n
-               and (y := c[x]) != n and (z := d[y]) != n]
+    return order, index, step, shapes()
 
 
 def _placement_table(cells, kinds=KINDS) -> tuple:
@@ -253,60 +209,12 @@ def _placement_table(cells, kinds=KINDS) -> tuple:
     placements come in (catalog, anchor) order.  An unknown kind, or a
     string, raises ValueError.
     """
-    kinds = _tile_kinds(kinds)
-    shapes = [s for s in _CATALOG if s.kind in kinds]
-    order, step = _neighbour_lists(cells, shapes)
+    order, _, _, shapes = _placement_builder(cells, kinds)
     placements, rows = [], []
-    for shape, fit in zip(shapes, _fits(len(order), step, shapes)):
-        rows += map(_WALKS[shape.index][1], fit)
-        placements += [(shape, order[t[0]]) for t in fit]
+    for shape, anchors, shape_rows in shapes:
+        placements += zip(repeat(shape), map(order.__getitem__, anchors))
+        rows += shape_rows
     return order, placements, rows
-
-
-def _lattice_rows(cells, kinds=KINDS) -> tuple:
-    """The sorted cells of `cells`, and a generator that builds the rows
-    of the placement table of the selected kinds one shape at a time, in
-    catalog order, as (shape, anchor numbers, rows, spanned).  `spanned`
-    says for each row whether an identity of IntegerLattice puts it in
-    the lattice of the rows before it.  Both identities need bones.
-
-    The bone identity holds for shape s at anchor b when, for the axis d
-    of a bone before s in the catalog, s also fits at b - d and b - 2d;
-    the two anchors' numbers are read off the neighbour list for -d.  The
-    triangle identity holds for a stone when the bone B2 that completes
-    one of its triangles fits; B2's anchor is a neighbour of one of the
-    row's cells.  Both are read a whole shape at a time by `map`, over
-    integer lists, and no shape is built before it is asked for.  An
-    unknown kind, or a string, raises ValueError."""
-    kinds = _tile_kinds(kinds)
-    shapes = [s for s in _CATALOG if s.kind in kinds]
-    bones = [(i, k) for i, k in _BONE_BACKS if "bone" in kinds]
-    sides = _SIDES if bones else ((),) * len(_CATALOG)
-    order, step = _neighbour_lists(
-        cells, shapes, [k for _, k in bones] +
-        [k for s in shapes for _, _, k in sides[s.index]])
-    n = len(order)
-
-    def shape_rows():
-        fitting = {}  # catalog index -> whether the shape fits at a number
-        for shape, fit in zip(shapes, _fits(n, step, shapes)):
-            anchors = list(map(itemgetter(0), fit))
-            rows = list(map(_WALKS[shape.index][1], fit))
-            fits = fitting[shape.index] = set(anchors).__contains__
-            flags = [False] * len(fit)
-            for i, k in bones:
-                if i < shape.index:
-                    back = step[k].__getitem__
-                    behind = list(map(back, anchors))  # b - d, then b - 2d
-                    both = map(and_, map(fits, behind),
-                               map(fits, map(back, behind)))
-                    flags = list(map(or_, flags, both))
-            for i, j, k in sides[shape.index]:
-                b2 = map(step[k].__getitem__, map(itemgetter(j), rows))
-                flags = list(map(or_, flags, map(fitting[i], b2)))
-            yield shape, anchors, rows, flags
-
-    return order, shape_rows()
 
 
 def enumerate_placements(window, kinds=KINDS) -> list:
@@ -373,11 +281,96 @@ def _subtract(row: dict, q: int, base: dict) -> None:
             del row[k]
 
 
+def _bone_back(bone: TileShape) -> int:
+    """The number of direction -d, for the bone's axis d: the difference
+    of its first two offsets, (1, 0), (0, 1) or (1, -1), each a step to
+    a later cell in sorted order."""
+    (aq, ar), (bq, br) = bone.offsets[:2]
+    return NEIGHBOR_OFFSETS.index((aq - bq, ar - br))
+
+
+_BONE_BACKS = tuple((s.index, _bone_back(s)) for s in _CATALOG
+                    if s.kind == "bone")
+
+# A 6-cell triangle is a stone and a bone in three ways, one bone per
+# side, so a stone at one corner and its translate at another differ by
+# two bones: s(b) + B2 = s(b - t) + B1, both sides the triangle.  Each
+# entry: the stone, t, then B1 and B2, each with its anchor less b; b - t
+# is an earlier anchor.
+_TRIANGLES = (
+    ("stone_left", (0, 1), ("bone_right", (-2, 1)), ("bone_left", (0, -1))),
+    ("stone_left", (1, -1), ("bone_vertical", (0, 0)),
+     ("bone_right", (-2, 2))),
+    ("stone_left", (1, 0), ("bone_vertical", (0, -1)),
+     ("bone_left", (0, -1))),
+    ("stone_right", (0, 1), ("bone_left", (1, -1)),
+     ("bone_right", (-1, -1))),
+    ("stone_right", (1, -1), ("bone_right", (-2, 0)),
+     ("bone_vertical", (-2, 0))),
+    ("stone_right", (1, 0), ("bone_left", (0, 0)),
+     ("bone_vertical", (-2, 0))),
+)
+
+
+def _triangle_side(stone: str, t: tuple, b1: tuple, b2: tuple) -> tuple:
+    """B2, the bone that completes the stone's triangle, as (i, j, k): the
+    bone's catalog index, and its anchor as a step in direction k from
+    the stone's j-th offset.  Asserts the identity as cell multisets."""
+    def cells(name, anchor):
+        return [*Placement(_BY_NAME[name], anchor).cells()]
+
+    triangle = sorted(cells(stone, (0, 0)) + cells(*b2))
+    assert len(set(triangle)) == 6, stone
+    assert triangle == sorted(cells(stone, (-t[0], -t[1])) + cells(*b1)), stone
+    name, (aq, ar) = b2
+    return next((_BY_NAME[name].index, j, k)
+                for j, (q, r) in enumerate(_BY_NAME[stone].offsets)
+                for k, (dq, dr) in enumerate(NEIGHBOR_OFFSETS)
+                if (q + dq, r + dr) == (aq, ar))
+
+
+# by catalog index; a triangle with two earlier corners is listed once
+_SIDES = tuple(tuple(dict.fromkeys(_triangle_side(*e) for e in _TRIANGLES
+                                   if e[0] == s.name)) for s in _CATALOG)
+
+
+def _identity_flags(step, shapes):
+    """The builder's shapes as (shape, anchors, rows, spanned), where
+    `spanned` says for each row whether an identity of IntegerLattice puts
+    it in the lattice of the rows before it.  An identity applies once its
+    bone has been built, so both need bones.
+
+    The bone identity holds for shape s at anchor b when, for the axis d
+    of a bone built before s, s also fits at b - d and b - 2d; the two
+    anchors' numbers are read off the neighbour list for -d.  The
+    triangle identity holds for a stone when the bone B2 that completes
+    one of its triangles fits; B2's anchor is a neighbour of one of the
+    row's cells.  Both are read a whole shape at a time by `map`, over
+    integer lists."""
+    fitting = {}  # catalog index -> whether the built shape fits at a number
+    for shape, anchors, rows in shapes:
+        fits = set(anchors).__contains__
+        flags = [False] * len(rows)
+        for i, k in _BONE_BACKS:
+            if i in fitting:
+                back = step(k).__getitem__
+                behind = list(map(back, anchors))  # b - d, then b - 2d
+                both = map(and_, map(fits, behind),
+                           map(fits, map(back, behind)))
+                flags = list(map(or_, flags, both))
+        for i, j, k in _SIDES[shape.index]:
+            if i in fitting:
+                b2 = map(step(k).__getitem__, map(itemgetter(j), rows))
+                flags = list(map(or_, flags, map(fitting[i], b2)))
+        fitting[shape.index] = fits
+        yield shape, anchors, rows, flags
+
+
 class IntegerLattice:
     """Row lattice of placement indicator vectors, in echelon form.
 
-    It reads the placement table of the window from `_lattice_rows` a
-    shape at a time, in (catalog, anchor) order: `cells` in sorted order
+    It reads the placement table of the window from `_placement_builder`
+    a shape at a time, in (catalog, anchor) order: `cells` in sorted order
     and each placement's row of cell numbers 0..m-1, so each placement is
     one sparse row with no cell set built.  The rows are inserted one at
     a time into a basis that maps a leading column to (row, placement).
@@ -429,7 +422,7 @@ class IntegerLattice:
     spans.  Its reduction would take an exact multiple off at each
     leading column and end at zero, with no remainder, no pivot and no
     logged operation, so skipping it leaves the basis, the log, the pivot
-    product and every certificate as they were.  `_lattice_rows` flags
+    product and every certificate as they were.  `_identity_flags` flags
     those rows; a skipped row still counts in `rows_used`, and in
     `rows_skipped`.  The rows left to reduce number about the window's
     cells.
@@ -442,9 +435,8 @@ class IntegerLattice:
     """
 
     def __init__(self, window, kinds=KINDS):
-        cells, shapes = _lattice_rows(window, kinds)
-        self.cells = cells
-        self._cell_index = {c: i for i, c in enumerate(cells)}
+        cells, numbers, step, shapes = _placement_builder(window, kinds)
+        self.cells, self._cell_index = cells, numbers
         m = len(cells)
         index = 1 << min(len({(q - r) % 3 for q, r in cells}), 2)
         basis = {}  # leading column -> (row, placement)
@@ -452,7 +444,7 @@ class IntegerLattice:
         det = 1  # the product of the pivots
         placements = []
         used = skipped = 0
-        for shape, anchors, rows, spanned in shapes:
+        for shape, anchors, rows, spanned in _identity_flags(step, shapes):
             first = used
             for t, flag in zip(rows, spanned):
                 if len(basis) == m and det == index:

@@ -606,6 +606,22 @@ def test_render_rejects_bad_scale(capsys, tmp_path, scale):
     assert "--scale" in err and not out_file.exists()
 
 
+@pytest.mark.parametrize("subject, infile", [
+    ("region", str(FIXTURES / "hex7.json")),
+    ("tiling", str(FIXTURES / "crescent_tiling.json")),
+    ("path", "ZyZYzYX")], ids=["region", "tiling", "path"])
+def test_render_rejects_a_scale_whose_drawing_overflows(capsys, tmp_path,
+                                                        subject, infile):
+    # a finite scale whose products overflow to inf is refused, not drawn
+    # with an infinite viewBox
+    out_file = tmp_path / "out.svg"
+    code, out, err = invoke(capsys, "render", "--subject", subject, "--in",
+                            infile, "--out", str(out_file), "--scale=1e308")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --scale ") and err.count("\n") == 1
+    assert not out_file.exists()
+
+
 def test_render_tiling(capsys, tmp_path):
     out_file = tmp_path / "crescent.svg"
     code, _, _ = invoke(capsys, "render", "--subject", "tiling", "--in",

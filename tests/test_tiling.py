@@ -21,13 +21,13 @@ from hexsbs.fixtures import (CRESCENT_CELLS, CRESCENT_CERTIFICATE,
                              SEQUENCE_2X2X2_LEFT_TARGET,
                              SEQUENCE_2X2X2_MIDDLE,
                              SEQUENCE_2X2X2_MIDDLE_TARGET, TILE_WORDS)
-from hexsbs.hexgrid import (Region, RegionError, grow_random_region,
-                            neighbors, path_endpoint, region_boundary_word,
-                            region_validate)
+from hexsbs.hexgrid import (NEIGHBOR_OFFSETS, Region, RegionError,
+                            grow_random_region, neighbors, path_endpoint,
+                            region_boundary_word, region_validate)
 from hexsbs.tiling import (KINDS, ConstructionStep, IntegerLattice, Placement,
                            SignedTiling, StoneProbe, TilingCount,
-                           _TRIANGLES, _exact_covers, _lattice_rows,
-                           _placement_table,
+                           _TRIANGLES, _exact_covers, _identity_flags,
+                           _placement_builder, _placement_table,
                            boundary_obstruction_check,
                            constructible_sequence_check, enumerate_placements,
                            min_stone_probe, pad_window, signed_tiling_solve,
@@ -509,9 +509,10 @@ def test_skipped_rows_leave_the_basis_and_log_of_full_insertion(
     sq, sr = shift
     window = {(q + sq, r + sr) for q, r in pad_window(region.cells, padding)}
     cells, placements, rows = _placement_table(window, kinds)
-    order, shapes = _lattice_rows(window, kinds)
-    built = list(shapes)
+    order, numbers, step, shapes = _placement_builder(window, kinds)
+    built = list(_identity_flags(step, shapes))
     assert order == cells
+    assert numbers == {c: i for i, c in enumerate(cells)}
     assert [(s, cells[a]) for s, anchors, _, _ in built
             for a in anchors] == placements
     assert [t for _, _, ts, _ in built for t in ts] == rows
@@ -546,20 +547,44 @@ def test_lattice_builds_no_shape_after_the_one_it_stops_in(monkeypatch):
     # on hex7 padded by 2 with all kinds the insertion stops after 125 of
     # the table's 231 rows, inside the first snake's rows, and the five
     # snakes after it are never built
-    real, built = _lattice_rows, []
+    real, built = _placement_builder, []
 
     def recording(window, kinds):
-        cells, shapes = real(window, kinds)
-        return cells, (built.append(s) or s for s in shapes)
+        cells, numbers, step, shapes = real(window, kinds)
+        return cells, numbers, step, (built.append(s) or s for s in shapes)
 
-    monkeypatch.setattr("hexsbs.tiling._lattice_rows", recording)
     window = pad_window(HEX7_CELLS, 2)
-    lattice = IntegerLattice(window)
-    sizes = [len(rows) for _, _, rows, _ in built]
-    assert lattice.rows_used == 125
     assert len(_placement_table(window)[2]) == 231
+    monkeypatch.setattr("hexsbs.tiling._placement_builder", recording)
+    lattice = IntegerLattice(window)
+    sizes = [len(rows) for _, _, rows in built]
+    assert lattice.rows_used == 125
     assert sum(sizes[:-1]) < 125 <= sum(sizes)
-    assert [s for s, _, _, _ in built] == list(tile_catalog()[:6])
+    assert [s for s, _, _ in built] == list(tile_catalog()[:6])
+
+
+def test_bones_only_table_builds_only_the_lists_its_walks_read(monkeypatch):
+    # a bar of bones takes one neighbour list per bone axis, each built
+    # once; the lattice's bone identity reads a backward step as well
+    read = []
+
+    class Recording(tuple):
+        def __getitem__(self, k):
+            read.append(k)
+            return tuple.__getitem__(self, k)
+
+    monkeypatch.setattr("hexsbs.tiling.NEIGHBOR_OFFSETS",
+                        Recording(NEIGHBOR_OFFSETS))
+    bar = [(0, r) for r in range(30)]
+    assert len(_placement_table(bar, ("bone",))[2]) == 28
+    axes = {(1, 0), (0, 1), (-1, 1)}
+    assert len(read) == 3 and {NEIGHBOR_OFFSETS[k] for k in read} == axes
+    # positive control: the lattice reads the list for the vertical
+    # bone's backward step, which no walk takes
+    read.clear()
+    IntegerLattice(bar, ("bone",))
+    assert len(read) == 4
+    assert {NEIGHBOR_OFFSETS[k] for k in read} == axes | {(0, -1)}
 
 
 def test_rows_reduced_grow_with_the_window_cells():
@@ -1044,7 +1069,7 @@ def test_exact_cover_gate_answers_before_any_placement(monkeypatch):
     stone = region_validate(tile_shape("stone", "left").cells)
     assert boundary_obstruction_check(hex4) is PMClass.OTHER
     assert boundary_obstruction_check(stone) is PMClass.MINUS_IDENTITY
-    monkeypatch.setattr("hexsbs.tiling._placement_table", no_placements)
+    monkeypatch.setattr("hexsbs.tiling._placement_builder", no_placements)
     for region, kinds in ((hex4, KINDS), (hex4, ("bone",)),
                           (stone, ("bone", "snake")), (stone, ("bone",))):
         assert standard_tiling_solve(region, kinds) is None
@@ -1275,6 +1300,18 @@ def test_min_stone_probe_crescent():
     assert probe.parity_consistent is False
 
 
+def test_min_stone_probe_one_stone():
+    # padding 0: the bones and snakes inside the region alone do not
+    # reach it, one stone less does
+    stone = region_validate(tile_shape("stone", "left").cells)
+    assert min_stone_probe(stone, 0) == \
+        StoneProbe(1, PMClass.MINUS_IDENTITY, True)
+    plus = region_validate([(-1, -3), (-1, 1), (0, -3), (0, -2), (0, -1),
+                            (0, 0), (1, -2), (1, -1), (2, -2)])
+    assert min_stone_probe(plus, 0) == \
+        StoneProbe(1, PMClass.PLUS_IDENTITY, False)
+
+
 def assert_no_signed_tiling_in_windows(region):
     """The ungated lattice, which never looks at the boundary, finds no
     signed tiling of the region at padding 0, 1 or 2, with or without
@@ -1321,7 +1358,7 @@ def test_other_region_is_answered_before_any_placement(monkeypatch):
         return called
 
     real_pad_window = pad_window
-    for name in ("_placement_table", "_lattice_rows", "pad_window"):
+    for name in ("_placement_builder", "pad_window"):
         monkeypatch.setattr(f"hexsbs.tiling.{name}", spy(name))
     side6 = region_validate([(q, r) for q in range(-5, 6)
                              for r in range(-5, 6) if abs(q + r) <= 5])
@@ -1341,9 +1378,9 @@ def test_other_region_is_answered_before_any_placement(monkeypatch):
             solve(bone)
     monkeypatch.setattr("hexsbs.tiling.pad_window", real_pad_window)
     for solve in (signed_tiling_solve, min_stone_probe):
-        with pytest.raises(AssertionError, match="_lattice_rows called"):
+        with pytest.raises(AssertionError, match="_placement_builder called"):
             solve(bone)
-    with pytest.raises(AssertionError, match="_lattice_rows called"):
+    with pytest.raises(AssertionError, match="_placement_builder called"):
         solve_cell_target({c: 1 for c in bone.cells}, window=bone.cells)
 
 
