@@ -14,6 +14,9 @@ from .tiling import SignedTiling
 from .words import Word
 
 _SQRT3_2 = 0.8660254037844386
+# the largest float32; a viewer reading the coordinates in single
+# precision gets infinities past it
+_FLOAT32_MAX = 3.4028234663852886e38
 
 KIND_COLORS = {"bone": "#7cb342", "stone": "#26a69a", "snake": "#8e24aa"}
 
@@ -52,9 +55,10 @@ class _Doc:
         pad = 8.0
         x0, y0 = min(xs) - pad, min(ys) - pad
         w, h = max(xs) - min(xs) + 2 * pad, max(ys) - min(ys) + 2 * pad
-        if not all(abs(v) < float("inf") for v in (x0, y0, w, h)):
-            raise OverflowError(f"the drawing's extent {w} x {h} is not "
-                                "finite")
+        frame = (x0, y0, x0 + w, y0 + h, w, h)  # its corners and sides
+        if not all(abs(v) <= _FLOAT32_MAX for v in frame):
+            raise OverflowError(f"the drawing's frame {w} x {h} passes "
+                                f"single precision ({_FLOAT32_MAX})")
         head = (f'<svg xmlns="http://www.w3.org/2000/svg" '
                 f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}" '
                 f'width="{_fmt(w)}" height="{_fmt(h)}">')

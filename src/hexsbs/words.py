@@ -10,19 +10,20 @@ Conventions
   in written order, and as a grid path the word is traversed starting from
   its RIGHTMOST letter.  Under this reading the word "XYZ" is the closed
   zero-area triangle, while "ZYX" walks counterclockwise around one cell.
-* Step matrices: M(X) = beta*alpha, M(Y) = alpha^-1*gamma and
+* Each step letter is a written edge pair (STEP_TO_EDGES) and its matrix
+  the pair's product: M(X) = beta*alpha, M(Y) = alpha^-1*gamma and
   M(Z) = gamma^-1*beta^-1.  The pair order inside M(Z) is pinned by the
-  tile calibration suite (all bone/snake boundary words must evaluate to I
-  and both stone words to -I, in both alphabets); the suite is asserted
-  once at import via fixtures.TILE_WORDS, and its rows are kept as
-  TILE_CLASSES.
+  tile calibration suite (bone/snake boundary words evaluate to I and
+  stone words to -I, in both alphabets), asserted once at import via
+  fixtures.TILE_WORDS; its rows are kept as TILE_CLASSES.
 * Edge letters become step letters only in edges_to_steps, two at a time;
   edge_to_step and hexgrid's region_boundary_word both call it.
 * The step matrices generate SL(2,3), of order 24, tabulated once at
-  import as STEP_GROUP from exact Mat2 products, with the order of each
-  element read off the table; step words evaluate by one table lookup
-  per letter, and subgroups are walked on its rows.  Edge words stay on
-  Mat2 products, since alpha, beta and gamma generate an infinite group.
+  import as STEP_GROUP with each element's order; step words evaluate by
+  one table lookup per letter, and subgroups are walked on its rows.
+  Import makes 150 Mat2 products: 6 for the step matrices, 24 x 6 for
+  STEP_GROUP.  Edge words stay on Mat2 products in eval_word, since
+  alpha, beta and gamma generate an infinite group.
 """
 
 from __future__ import annotations
@@ -230,20 +231,20 @@ def is_least_member(letters: str) -> bool:
     return True
 
 
-# letter -> matrix, words multiply left-to-right
-STEP_MATRICES: dict[str, Mat2] = {
-    "X": BETA * ALPHA,
-    "Y": ALPHA.inv() * GAMMA,
-    "Z": GAMMA.inv() * BETA.inv(),
-}
-STEP_MATRICES["x"] = STEP_MATRICES["X"].inv()
-STEP_MATRICES["y"] = STEP_MATRICES["Y"].inv()
-STEP_MATRICES["z"] = STEP_MATRICES["Z"].inv()
-
 EDGE_MATRICES: dict[str, Mat2] = {
     "A": ALPHA, "B": BETA, "G": GAMMA,
     "a": ALPHA.inv(), "b": BETA.inv(), "g": GAMMA.inv(),
 }
+
+# step letter -> written edge pair (left-to-right composition order)
+STEP_TO_EDGES = {"X": "BA", "Y": "aG", "Z": "gb",
+                 "x": "ab", "y": "gA", "z": "BG"}
+_EDGES_TO_STEP = {v: k for k, v in STEP_TO_EDGES.items()}
+
+# letter -> matrix, its edge pair's product; words multiply left-to-right
+STEP_MATRICES: dict[str, Mat2] = {
+    ch: EDGE_MATRICES[a] * EDGE_MATRICES[b]
+    for ch, (a, b) in STEP_TO_EDGES.items()}
 
 
 class StepGroup(namedtuple("StepGroup",
@@ -318,12 +319,6 @@ def eval_letters(letters: str, alphabet: str = "step") -> Mat2:
     return eval_word(Word(alphabet, letters))
 
 
-# step letter -> written edge pair (left-to-right composition order)
-STEP_TO_EDGES = {"X": "BA", "Y": "aG", "Z": "gb",
-                 "x": "ab", "y": "gA", "z": "BG"}
-_EDGES_TO_STEP = {v: k for k, v in STEP_TO_EDGES.items()}
-
-
 def step_to_edge(w: Word) -> Word:
     if w.alphabet != "step":
         raise WordError("step_to_edge expects a step word")
@@ -366,7 +361,8 @@ def edge_to_step(w: Word) -> tuple[Word, int]:
 
 def _startup_calibration() -> tuple:
     # Bones and snakes must evaluate to I and stones to -I, in both
-    # alphabets; guards the composition-order convention above.
+    # alphabets, an edge word through its step word (equal, or conjugate
+    # after the phase shift, and +-I is central); guards STEP_TO_EDGES.
     from . import fixtures
     rows = []
     for name, step_letters in fixtures.TILE_WORDS.items():
@@ -376,8 +372,11 @@ def _startup_calibration() -> tuple:
         if got is not expect:
             raise AssertionError(
                 f"composition-order calibration failed on {name}: {got}")
-        got_edge = classify_pm(eval_letters(
-            fixtures.TILE_EDGE_WORDS[name], "edge"))
+        try:
+            got_edge = classify_pm(eval_word(edge_to_step(
+                Word("edge", fixtures.TILE_EDGE_WORDS[name]))[0]))
+        except WordError as e:
+            got_edge = e
         if got_edge is not expect:
             raise AssertionError(
                 f"edge-alphabet calibration failed on {name}: {got_edge}")

@@ -606,17 +606,22 @@ def test_render_rejects_bad_scale(capsys, tmp_path, scale):
     assert "--scale" in err and not out_file.exists()
 
 
-@pytest.mark.parametrize("subject, infile", [
-    ("region", str(FIXTURES / "hex7.json")),
-    ("tiling", str(FIXTURES / "crescent_tiling.json")),
-    ("path", "ZyZYzYX")], ids=["region", "tiling", "path"])
+@pytest.mark.parametrize("subject, infile, scale", [
+    (subject, infile, scale) for scale in ("1e308", "1e305")
+    for subject, infile in (("region", str(FIXTURES / "hex7.json")),
+                            ("tiling", str(FIXTURES / "crescent_tiling.json")),
+                            ("path", "ZyZYzYX"))],
+    ids=["region", "tiling", "path",
+         "region-1e305", "tiling-1e305", "path-1e305"])
 def test_render_rejects_a_scale_whose_drawing_overflows(capsys, tmp_path,
-                                                        subject, infile):
-    # a finite scale whose products overflow to inf is refused, not drawn
-    # with an infinite viewBox
+                                                        subject, infile,
+                                                        scale):
+    # a finite scale whose products overflow to inf (1e308), or pass
+    # single precision (1e305), is refused, not drawn with an infinite or
+    # 300-digit viewBox
     out_file = tmp_path / "out.svg"
     code, out, err = invoke(capsys, "render", "--subject", subject, "--in",
-                            infile, "--out", str(out_file), "--scale=1e308")
+                            infile, "--out", str(out_file), f"--scale={scale}")
     assert (code, out) == (2, "")
     assert err.startswith("error: --scale ") and err.count("\n") == 1
     assert not out_file.exists()
@@ -679,7 +684,11 @@ GOLDEN_SVG = {
 }
 
 
-@pytest.mark.parametrize("subject, infile", sorted(GOLDEN_SVG))
+# ids name the fixture file, not its path, so they are the same in every
+# checkout
+@pytest.mark.parametrize("subject, infile", sorted(GOLDEN_SVG), ids=[
+    f"{subject}-{Path(infile).name}"
+    for subject, infile in sorted(GOLDEN_SVG)])
 def test_render_matches_golden_hash(capsys, tmp_path, subject, infile):
     out_file = tmp_path / "out.svg"
     code, out, _ = invoke(capsys, "render", "--subject", subject, "--in",

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexsbs import fixtures, words
-from hexsbs.cyclo import IDENTITY, MINUS_IDENTITY, PMClass
+from hexsbs.cyclo import (ALPHA, BETA, GAMMA, IDENTITY, MINUS_IDENTITY,
+                          Mat2, PMClass)
 from hexsbs.fixtures import (CONJECTURE_MINUS, CONJECTURE_PLUS, HEX7_CELLS,
                              TABLE_WORDS, TILE_EDGE_WORDS, TILE_WORDS)
 from hexsbs.hexgrid import grow_random_region, region_validate
@@ -341,19 +342,37 @@ def test_tile_classes_keep_the_import_calibration():
                                         "edge")) is edge_class
 
 
-@pytest.mark.parametrize("table, alphabet", [
-    ("TILE_WORDS", "composition-order"),
-    ("TILE_EDGE_WORDS", "edge-alphabet"),
-])
+@pytest.mark.parametrize("table, stone_word, alphabet", [
+    ("TILE_WORDS", TILE_WORDS["bone_left"], "composition-order"),
+    ("TILE_EDGE_WORDS", TILE_EDGE_WORDS["bone_left"], "edge-alphabet"),
+    ("TILE_EDGE_WORDS", "AA", "edge-alphabet"),
+], ids=["TILE_WORDS-composition-order", "TILE_EDGE_WORDS-edge-alphabet",
+        "TILE_EDGE_WORDS-unpaired"])
 def test_calibration_refuses_a_wrong_tile_class(monkeypatch, table,
-                                                alphabet):
-    # a bone word filed under a stone name must stop the import
+                                                stone_word, alphabet):
+    # a bone word, or an edge word that pairs in neither phase, filed
+    # under a stone name must stop the import with the calibration's own
+    # message
     words_of = dict(getattr(fixtures, table))
-    words_of["stone_left"] = words_of["bone_left"]
+    words_of["stone_left"] = stone_word
     monkeypatch.setattr(fixtures, table, words_of)
     with pytest.raises(AssertionError,
                        match=f"{alphabet} calibration failed on stone_left"):
         words._startup_calibration()
+
+
+def test_calibration_makes_no_mat2_product(monkeypatch):
+    # the edge tile words are classed on STEP_GROUP, not multiplied out
+    def refuse(self, other):
+        raise AssertionError("Mat2 product")
+    monkeypatch.setattr(Mat2, "__mul__", refuse)
+    assert words._startup_calibration() == TILE_CLASSES
+
+
+def test_step_matrices_are_the_papers_edge_products():
+    x, y, z = BETA * ALPHA, ALPHA.inv() * GAMMA, GAMMA.inv() * BETA.inv()
+    assert STEP_MATRICES == {"X": x, "Y": y, "Z": z,
+                             "x": x.inv(), "y": y.inv(), "z": z.inv()}
 
 
 @settings(max_examples=100, deadline=None)
