@@ -228,6 +228,9 @@ def cmd_render(args) -> int:
         raise InputError(f"--scale must be finite and > 0, got {args.scale}")
     try:
         doc = _render_doc(args)
+    except svg.FarDrawingError as e:  # the coordinates, not the scale
+        raise InputError(f"{args.infile}: the input's coordinates are too "
+                         f"large to draw: {e}") from e
     except OverflowError as e:  # a finite scale can still overflow
         raise InputError(f"--scale {args.scale} is too large: {e}") from e
     try:

@@ -21,9 +21,19 @@ _FLOAT32_MAX = 3.4028234663852886e38
 KIND_COLORS = {"bone": "#7cb342", "stone": "#26a69a", "snake": "#8e24aa"}
 
 
+class FarDrawingError(OverflowError):
+    """The drawing lies too far from the origin to be written, though its
+    frame's size would fit: the input's coordinates, not the scale, are
+    at fault."""
+
+
 def _xy(point, scale):
     x, y = point
-    return (x * scale * 0.5, -y * scale * _SQRT3_2)
+    try:
+        return (x * scale * 0.5, -y * scale * _SQRT3_2)
+    except OverflowError as e:  # an int past the float range, at any scale
+        raise FarDrawingError(f"a plane coordinate passes the float range: "
+                              f"{e}") from e
 
 
 def _fmt(v: float) -> str:
@@ -55,10 +65,12 @@ class _Doc:
         pad = 8.0
         x0, y0 = min(xs) - pad, min(ys) - pad
         w, h = max(xs) - min(xs) + 2 * pad, max(ys) - min(ys) + 2 * pad
-        frame = (x0, y0, x0 + w, y0 + h, w, h)  # its corners and sides
-        if not all(abs(v) <= _FLOAT32_MAX for v in frame):
+        if not (abs(w) <= _FLOAT32_MAX and abs(h) <= _FLOAT32_MAX):
             raise OverflowError(f"the drawing's frame {w} x {h} passes "
                                 f"single precision ({_FLOAT32_MAX})")
+        if not all(abs(v) <= _FLOAT32_MAX for v in (x0, y0, x0 + w, y0 + h)):
+            raise FarDrawingError(f"the drawing's corner ({x0}, {y0}) passes "
+                                  f"single precision ({_FLOAT32_MAX})")
         head = (f'<svg xmlns="http://www.w3.org/2000/svg" '
                 f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}" '
                 f'width="{_fmt(w)}" height="{_fmt(h)}">')

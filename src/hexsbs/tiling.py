@@ -560,8 +560,11 @@ def signed_tiling_solve(region: Region, kinds=KINDS, padding: int = 2):
     target = {c: 1 for c in region.cells}
     tiling = solve_cell_target(target, kinds,
                                pad_window(region.cells, padding))
-    if tiling is not None:
-        assert signed_tiling_verify(region, tiling) is None
+    bad = None if tiling is None else signed_tiling_verify(region, tiling)
+    if bad is not None:  # raised, not asserted, so that -O keeps the check
+        raise AssertionError("the signed tiling found does not tile the "
+                             f"region: cell {list(bad[0])} has net "
+                             f"coverage {bad[1]}")
     return tiling
 
 

@@ -1,11 +1,14 @@
-"""Word algebra over the step alphabet XYZxyz and edge alphabet ABGabg.
+"""Word algebra over the step alphabet XYZxyz.
 
 Conventions
 -----------
 * Step letters: X, Y, Z are the three moves between shaded vertices of the
-  hexagonal grid; lowercase letters are their inverses.
+  hexagonal grid; lowercase letters are their inverses.  A Word is a
+  string of step letters.
 * Edge letters: A/B/G stand for the alpha/beta/gamma edge generators,
-  lowercase for their inverses.
+  lowercase for their inverses.  They are read only as plain strings, at
+  the borders: eval_letters(letters, "edge"), edge_to_step and
+  edges_to_steps read them, and step_to_edge writes them.
 * A written word composes like functions: matrices multiply left-to-right
   in written order, and as a grid path the word is traversed starting from
   its RIGHTMOST letter.  Under this reading the word "XYZ" is the closed
@@ -19,10 +22,10 @@ Conventions
 * Edge letters become step letters only in edges_to_steps, two at a time;
   edge_to_step and hexgrid's region_boundary_word both call it.
 * The step matrices generate SL(2,3), of order 24, tabulated once at
-  import as STEP_GROUP with each element's order; step words evaluate by
-  one table lookup per letter, and subgroups are walked on its rows.
-  Import makes 150 Mat2 products: 6 for the step matrices, 24 x 6 for
-  STEP_GROUP.  Edge words stay on Mat2 products in eval_word, since
+  import as STEP_GROUP with each element's order; a Word evaluates by one
+  table lookup per letter, and subgroups are walked on its rows.  Import
+  makes 150 Mat2 products: 6 for the step matrices, 24 x 6 for
+  STEP_GROUP.  Only eval_letters(letters, "edge") multiplies Mat2s, since
   alpha, beta and gamma generate an infinite group.
 """
 
@@ -39,7 +42,6 @@ EDGE_LETTERS = "ABGabg"
 
 STEP_INVERT = str.maketrans("XYZxyz", "xyzXYZ")
 _STEP_ROTATE = str.maketrans("XYZxyz", "YZXyzx")
-_EDGE_INVERT = str.maketrans("ABGabg", "abgABG")
 _LETTER_SETS = {"step": frozenset(STEP_LETTERS),
                 "edge": frozenset(EDGE_LETTERS)}
 
@@ -66,27 +68,29 @@ def check_size(name: str, value, low: int) -> None:
         raise SizeError(f"{name} must be >= {low}")
 
 
+def _checked(letters, kind: str) -> str:
+    """letters, once it is a str of step or edge letters (kind "step" or
+    "edge"); WordError naming the first fault otherwise."""
+    if not isinstance(letters, str):
+        raise WordError(f"letters must be a str, got {letters!r}")
+    allowed = _LETTER_SETS[kind]
+    if not allowed.issuperset(letters):  # the scan only names the fault
+        i, ch = next((i, ch) for i, ch in enumerate(letters)
+                     if ch not in allowed)
+        raise WordError(f"invalid {kind} letter {ch!r} at index {i}", i)
+    return letters
+
+
 class Word(Frozen):
-    """A sequence of letters over one alphabet, stored as a plain string."""
+    """A sequence of step letters, stored as a plain string."""
 
-    __slots__ = ("alphabet", "letters")  # alphabet is "step" or "edge"
+    __slots__ = ("letters",)
 
-    def __init__(self, alphabet: str, letters: str):
-        if alphabet not in ("step", "edge"):
-            raise WordError(f"unknown alphabet {alphabet!r}")
-        if not isinstance(letters, str):
-            raise WordError(f"letters must be a str, got {letters!r}")
-        allowed = _LETTER_SETS[alphabet]
-        if not allowed.issuperset(letters):  # the scan only names the fault
-            i, ch = next((i, ch) for i, ch in enumerate(letters)
-                         if ch not in allowed)
-            raise WordError(f"invalid {alphabet} letter {ch!r} at index {i}",
-                            i)
-        _set_alphabet(self, alphabet)
-        _set_letters(self, letters)
+    def __init__(self, letters: str):
+        _set_letters(self, _checked(letters, "step"))
 
     def _key(self) -> tuple:
-        return (self.alphabet, self.letters)
+        return (self.letters,)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -95,45 +99,34 @@ class Word(Frozen):
         return self.letters
 
 
-_set_alphabet, _set_letters = setters(Word)
-
-
-def step_word(letters: str) -> Word:
-    return Word("step", letters)
-
-
-def parse_word(text: str, alphabet: str = "step") -> Word:
-    return Word(alphabet, text)
+(_set_letters,) = setters(Word)
+# a Word read from text, under the names its callers use
+step_word = parse_word = Word
 
 
 def free_reduce(w: Word) -> Word:
-    table = STEP_INVERT if w.alphabet == "step" else _EDGE_INVERT
     out: list[str] = []
     for ch in w.letters:
-        if out and out[-1] == ch.translate(table):
+        if out and out[-1] == ch.translate(STEP_INVERT):
             out.pop()
         else:
             out.append(ch)
-    return Word(w.alphabet, "".join(out))
+    return Word("".join(out))
 
 
 def is_cyclically_reduced(w: Word) -> bool:
-    table = STEP_INVERT if w.alphabet == "step" else _EDGE_INVERT
     s = w.letters
     return (free_reduce(w).letters == s
-            and not (s and s[0] == s[-1].translate(table)))
+            and not (s and s[0] == s[-1].translate(STEP_INVERT)))
 
 
 def invert_word(w: Word) -> Word:
-    table = STEP_INVERT if w.alphabet == "step" else _EDGE_INVERT
-    return Word(w.alphabet, w.letters[::-1].translate(table))
+    return Word(w.letters[::-1].translate(STEP_INVERT))
 
 
 def rotate120(w: Word) -> Word:
-    """Rotate a step word by 120 degrees (X -> Y -> Z -> X, letterwise)."""
-    if w.alphabet != "step":
-        raise WordError("rotate120 is defined on the step alphabet only")
-    return Word("step", w.letters.translate(_STEP_ROTATE))
+    """Rotate a word by 120 degrees (X -> Y -> Z -> X, letterwise)."""
+    return Word(w.letters.translate(_STEP_ROTATE))
 
 
 class ClosureClass(Frozen):
@@ -192,10 +185,8 @@ def closure_members(letters: str) -> frozenset:
 
 
 def closure(w: Word) -> ClosureClass:
-    if w.alphabet != "step":
-        raise WordError("closure is defined on the step alphabet only")
     members = closure_members(w.letters)
-    return ClosureClass(Word("step", min(members)), members)
+    return ClosureClass(Word(min(members)), members)
 
 
 def canonical_representative(letters: str) -> str:
@@ -302,27 +293,29 @@ STEP_GROUP = _build_step_group()
 
 
 def eval_word(w: Word) -> Mat2:
-    """Exact value of a word: step words by walking STEP_GROUP, edge
-    words by Mat2 products."""
-    if w.alphabet == "step":
-        state, step = 0, STEP_GROUP.step
-        for ch in w.letters:
-            state = step[ch][state]
-        return STEP_GROUP.elements[state]
-    m = IDENTITY
+    """Exact value of a word, walked on STEP_GROUP."""
+    state, step = 0, STEP_GROUP.step
     for ch in w.letters:
+        state = step[ch][state]
+    return STEP_GROUP.elements[state]
+
+
+def eval_letters(letters: str, alphabet: str = "step") -> Mat2:
+    """Exact value of a string of step letters, or of edge letters
+    (alphabet "edge") as the left-to-right product of their matrices."""
+    if alphabet == "step":
+        return eval_word(Word(letters))
+    if alphabet != "edge":
+        raise WordError(f"unknown alphabet {alphabet!r}")
+    m = IDENTITY
+    for ch in _checked(letters, "edge"):
         m = m * EDGE_MATRICES[ch]
     return m
 
 
-def eval_letters(letters: str, alphabet: str = "step") -> Mat2:
-    return eval_word(Word(alphabet, letters))
-
-
-def step_to_edge(w: Word) -> Word:
-    if w.alphabet != "step":
-        raise WordError("step_to_edge expects a step word")
-    return Word("edge", "".join(STEP_TO_EDGES[ch] for ch in w.letters))
+def step_to_edge(w: Word) -> str:
+    """The edge letters of a word, each step as its written edge pair."""
+    return "".join(STEP_TO_EDGES[ch] for ch in w.letters)
 
 
 def edges_to_steps(edges: str) -> str | None:
@@ -337,22 +330,20 @@ def edges_to_steps(edges: str) -> str | None:
         return None
 
 
-def edge_to_step(w: Word) -> tuple[Word, int]:
-    """Group an edge word into step letters.
+def edge_to_step(edges: str) -> tuple[Word, int]:
+    """Group a string of edge letters into a word.
 
     Boundary words read from an arbitrary starting edge may be off-phase
     by one edge, so grouping is retried once after a cyclic shift by one
     letter; the applied shift (0 or 1) is returned alongside the word.
     """
-    if w.alphabet != "edge":
-        raise WordError("edge_to_step expects an edge word")
-    s = w.letters
+    s = _checked(edges, "edge")
     if len(s) % 2:
         raise WordError(f"edge word has odd length {len(s)}")
     for shift in (0, 1):
         steps = edges_to_steps(s[shift:] + s[:shift])
         if steps is not None:
-            return Word("step", steps), shift
+            return Word(steps), shift
     i = next(i for i in range(0, len(s), 2)
              if s[i:i + 2] not in _EDGES_TO_STEP)
     raise WordError(
@@ -373,8 +364,8 @@ def _startup_calibration() -> tuple:
             raise AssertionError(
                 f"composition-order calibration failed on {name}: {got}")
         try:
-            got_edge = classify_pm(eval_word(edge_to_step(
-                Word("edge", fixtures.TILE_EDGE_WORDS[name]))[0]))
+            got_edge = classify_pm(eval_word(
+                edge_to_step(fixtures.TILE_EDGE_WORDS[name])[0]))
         except WordError as e:
             got_edge = e
         if got_edge is not expect:

@@ -74,11 +74,9 @@ def mats_close(p, q, tol=1e-9) -> bool:
 
 def eval_complex(word: Word):
     """Numeric evaluation of a word through the complex embedding."""
-    from hexsbs.words import EDGE_MATRICES
-    table = STEP_MATRICES if word.alphabet == "step" else EDGE_MATRICES
     m = [[1 + 0j, 0j], [0j, 1 + 0j]]
     for ch in word.letters:
-        m = complex_mat_mul(m, mat_to_complex(table[ch]))
+        m = complex_mat_mul(m, mat_to_complex(STEP_MATRICES[ch]))
     return m
 
 
@@ -984,12 +982,9 @@ def mat2_order(m: Mat2) -> int:
 _EDGES_TO_STEP = {pair: step for step, pair in STEP_TO_EDGES.items()}
 
 
-def pairwise_edge_to_step(w: Word) -> tuple[Word, int]:
+def pairwise_edge_to_step(s: str) -> tuple[Word, int]:
     """The former edge_to_step: each phase grouped one pair at a time; the
-    error names the first bad pair of the unshifted word."""
-    if w.alphabet != "edge":
-        raise WordError("edge_to_step expects an edge word")
-    s = w.letters
+    error names the first bad pair of the unshifted string."""
     if len(s) % 2:
         raise WordError(f"edge word has odd length {len(s)}")
     first_error = None
@@ -1007,7 +1002,7 @@ def pairwise_edge_to_step(w: Word) -> tuple[Word, int]:
                 break
             steps.append(step)
         else:
-            return Word("step", "".join(steps)), shift
+            return Word("".join(steps)), shift
     raise first_error
 
 

@@ -1,14 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from hexsbs import cli, cyclo, hexgrid, svg
+from hexsbs import cli, cyclo, fixtures, hexgrid, svg
 from hexsbs.cli import run
 from hexsbs.search import identity_word_census
 from hexsbs.tiling import SignedTiling, signed_tiling_verify
@@ -196,6 +202,24 @@ def test_cli_import_builds_no_parser():
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", child, src],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "None\n"), proc.stderr
+
+
+def test_certificate_check_holds_under_optimize():
+    # python -O strips assert statements; a signed tiling that fails its
+    # own check must still exit 2 with one line, not print the tiling
+    src = str(Path(cli.__file__).resolve().parents[1])
+    child = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "from hexsbs import cli, tiling; "
+             "tiling.signed_tiling_verify = lambda region, t: ((0, 0), 2); "
+             "sys.exit(cli.run(['solve-signed', '--in', sys.argv[2]]) "
+             "if sys.flags.optimize else 99)")
+    proc = subprocess.run([sys.executable, "-O", "-I", "-S", "-c", child,
+                           src, str(FIXTURES / "hex7.json")],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: AssertionError: the signed tiling found does not tile the "
+        "region: cell [0, 0] has net coverage 2\n")
 
 
 def test_missing_file(capsys):
@@ -627,6 +651,28 @@ def test_render_rejects_a_scale_whose_drawing_overflows(capsys, tmp_path,
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("subject", ["region", "tiling"])
+@pytest.mark.parametrize("q", [10 ** 40, 10 ** 320], ids=["1e40", "1e320"])
+def test_render_blames_coordinates_too_far_to_draw(capsys, tmp_path,
+                                                   subject, q):
+    # a small drawing far from the origin (1e40), or past the float range
+    # (1e320), is the input's fault, not the default scale's
+    data = {"cells": [[q, 0]]}
+    if subject == "tiling":  # a bone and the region it covers
+        data = {"region": {"cells": [[q - 2, 2], [q - 1, 1], [q, 0]]},
+                "certificate": [{"kind": "bone", "orientation": "left",
+                                 "anchor": [q, 0], "coeff": 1}]}
+    path, out_file = tmp_path / "far.json", tmp_path / "out.svg"
+    path.write_text(json.dumps(data))
+    argv = ["render", "--subject", subject, "--in", str(path),
+            "--out", str(out_file)]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: the input's coordinates are too "
+                          "large to draw: ") and err.count("\n") == 1
+    assert "--scale" not in err and not out_file.exists()
+
+
 def test_render_tiling(capsys, tmp_path):
     out_file = tmp_path / "crescent.svg"
     code, _, _ = invoke(capsys, "render", "--subject", "tiling", "--in",
@@ -956,3 +1002,181 @@ def test_stdout_matches_golden_hash(capsys, tmp_path, command, name):
         code, out, _ = invoke(capsys, *argv)
         digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == GOLDEN_STDOUT[command, name]
+
+
+# --- random command lines ------------------------------------------------
+# Each strategy draws (argv, files): argv names the files as "{dir}/<name>"
+# and files maps a name to the bytes written there.  Sizes stay small:
+# regions of at most 30 cells, --max-length <= 8, --padding <= 2 and
+# --cap <= 50, or a bound that ends the search first.
+
+_HUGE = st.sampled_from([10 ** 40, -10 ** 40, 10 ** 320, -10 ** 320, 2 ** 63])
+_COORD = st.one_of(st.integers(-4, 4), st.integers(-4, 4), _HUGE)
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+_TILES = [name.split("_", 1) for name in fixtures.TILE_WORDS]
+
+
+@st.composite
+def _region(draw):
+    how = draw(st.sampled_from(["blob", "blob", "cells", "junk"]))
+    if how == "blob":
+        cells = hexgrid.grow_random_region(
+            random.Random(draw(st.integers(0, 10 ** 6))),
+            draw(st.integers(1, 30))).cells
+        dq = draw(st.one_of(st.just(0), st.just(0), _HUGE))
+        return {"cells": [[q + dq, r] for q, r in sorted(cells)]}
+    if how == "cells":
+        return {"cells": draw(st.lists(st.lists(_COORD, max_size=3),
+                                       max_size=30))}
+    return draw(_JUNK)
+
+
+def _placement(draw):
+    kind, orientation = draw(st.sampled_from(_TILES + [["frob", "left"]]))
+    entry = {"kind": kind, "orientation": orientation,
+             "anchor": draw(st.lists(_COORD, min_size=2, max_size=2)
+                            | _JUNK)}
+    return {k: v for k, v in entry.items() if draw(st.integers(0, 9))}
+
+
+@st.composite
+def _step(draw):
+    return {"action": draw(st.sampled_from(["add", "add", "remove", "x"])),
+            **_placement(draw)}
+
+
+@st.composite
+def _entry(draw):
+    return {"coeff": draw(st.sampled_from([1, 1, -1, 0, 2, 1.5, True])),
+            **_placement(draw)}
+
+
+def _tiling():
+    entries = st.lists(_entry(), max_size=6)
+    return st.one_of(entries, st.fixed_dictionaries(
+        {"certificate": entries}, optional={"region": _region()}), _JUNK)
+
+
+@st.composite
+def _infile(draw, value):
+    """The --in argument and its file: JSON of a drawn value, an ASCII
+    picture, arbitrary bytes, or no file at all."""
+    how = draw(st.sampled_from(["json", "json", "json", "ascii", "bytes",
+                                "missing"]))
+    if how == "ascii":
+        text = draw(st.text(alphabet=" .#X*\n", max_size=60))
+        return "{dir}/in.txt", {"in.txt": text.encode()}
+    if how == "bytes":
+        return "{dir}/in.json", {"in.json": draw(st.binary(max_size=24))}
+    if how == "missing":
+        return "{dir}/none.json", {}
+    return "{dir}/in.json", {"in.json": json.dumps(draw(value)).encode()}
+
+
+def _number(low, high, *extra):
+    return st.one_of(st.integers(low, high).map(str),
+                     st.sampled_from(["x", "1.5", "", *extra]))
+
+
+_FLAGS = {
+    "--kinds": st.sampled_from(["bone,stone,snake", "bone", "stone,snake",
+                                "", ",", "frob", "bone,frob"]),
+    "--padding": _number(-3, 2),
+    "--cap": _number(-3, 50, str(10 ** 30)),
+    "--max-length": _number(-3, 8),
+    "--partitions": _number(-2, 4),
+    "--generators": st.text(alphabet="XYZxyzQ ", max_size=5),
+    "--bound": _number(-3, 30, str(10 ** 30)),
+    "--sign": st.sampled_from(["+I", "-I", "both", "x"]),
+    "--scale": st.sampled_from(["24", "0.5", "0", "-1", "nan", "inf",
+                                "1e305", "1e308", "x"]),
+}
+
+# command -> (fixed argv, the --in value's strategy or None, flags,
+# switches); render's three subjects count as commands
+_COMMANDS = {
+    "verify-tiles": ([], None, [], []),
+    "check-region": ([], _region(), [], []),
+    "solve-signed": ([], _region(), ["--kinds", "--padding"], []),
+    "solve-exact": ([], _region(), ["--kinds", "--cap"], ["--count"]),
+    "check-sequence": ([], st.lists(_step(), max_size=6) | _JUNK, [], []),
+    "probe-stones": ([], _region(), ["--padding"], []),
+    "enumerate": ([], None, ["--max-length", "--partitions"],
+                  ["--census"]),
+    "reduce": ([], None, ["--max-length", "--partitions"], []),
+    "verify-reductions": ([], None, [], []),
+    "group-probe": ([], None, ["--generators", "--bound"], []),
+    "endpoints": ([], None, ["--max-length", "--sign"], []),
+    "render region": (["--subject", "region"], _region(), ["--scale"], []),
+    "render tiling": (["--subject", "tiling"], _tiling(), ["--scale"], []),
+    "render path": (["--subject", "path"], None, ["--scale"], []),
+}
+
+
+@st.composite
+def _command_line(draw, command):
+    fixed, value, flags, switches = _COMMANDS[command]
+    argv, files = command.split()[:1] + fixed, {}
+    if value is not None:
+        infile, files = draw(_infile(value))
+        argv += ["--in", infile]
+    if command == "render path":  # a literal word, or a file holding one
+        word = draw(st.text(alphabet="XYZxyzAQ \n", max_size=12))
+        if draw(st.booleans()):
+            argv += ["--in", word]
+        else:
+            argv += ["--in", "{dir}/word.txt"]
+            files = {"word.txt": word.encode()}
+    if command.startswith("render"):
+        argv += ["--out", draw(st.sampled_from(["{dir}/out.svg",
+                                                "{dir}/no/out.svg"]))]
+    for flag in flags:
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(_FLAGS[flag])}")
+    argv += [s for s in switches if draw(st.booleans())]
+    if draw(st.integers(0, 9)) == 0:  # a flag no command has, or a stray
+        argv.append(draw(st.sampled_from(["--frob", "-x", "extra",
+                                          "--padding"])))
+    if draw(st.integers(0, 9)) == 0 and "--in" in argv:  # required, left out
+        i = argv.index("--in")
+        del argv[i:i + 2]
+    return argv, files
+
+
+# the catch-all's line, error: <ExceptionName>: ...; every message of an
+# expected input error starts with a path, an option or words
+_CATCH_ALL = re.compile(r"^error: \w+: ", re.M)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_random_command_lines_exit_cleanly(fuzz_dir, command, data):
+    # every exit is 0, 1 or 2 (argparse's SystemExit(2) included), and no
+    # input reaches the catch-all for unexpected failures
+    argv, files = data.draw(_command_line(command))
+    for name in ("in.json", "in.txt", "word.txt", "out.svg"):
+        (fuzz_dir / name).unlink(missing_ok=True)
+    for name, content in files.items():
+        (fuzz_dir / name).write_bytes(content)
+    argv = [arg.replace("{dir}", str(fuzz_dir)) for arg in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert not _CATCH_ALL.search(err.getvalue()), (argv, err.getvalue())

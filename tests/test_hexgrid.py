@@ -15,8 +15,8 @@ from hexsbs.hexgrid import (STEP_DISPLACEMENTS, STEP_EDGE_DELTAS, Region,
                             path_endpoint, plane_to_lattice,
                             region_boundary_word, region_from_ascii,
                             region_from_json, region_validate, ring_arcs)
-from hexsbs.words import (STEP_TO_EDGES, WordError, closure, eval_word,
-                          invert_word, step_to_edge, step_word)
+from hexsbs.words import (STEP_TO_EDGES, WordError, closure, eval_letters,
+                          eval_word, invert_word, step_to_edge, step_word)
 
 from oracles import (euler_characteristic, flood_is_simply_connected,
                      pair_count_boundary_walk, reversed_pair_boundary_word,
@@ -444,7 +444,8 @@ def test_boundary_edge_step_consistency():
     for _ in range(40):
         region = grow_random_region(rng, rng.randrange(1, 11))
         bw = region_boundary_word(region)
-        assert eval_word(step_to_edge(bw.word)) == eval_word(bw.word)
+        assert eval_letters(step_to_edge(bw.word), "edge") == \
+            eval_word(bw.word)
 
 
 def test_step_tables_follow_from_edge_pairs():

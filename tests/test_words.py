@@ -41,10 +41,13 @@ def rand_step_word(rng, max_len, reduced=False):
 
 def test_parse():
     assert len(parse_word("ZxxYXXX")) == 7
-    assert parse_word("BA", "edge").letters == "BA"
     with pytest.raises(WordError) as err:
         parse_word("XQZ")
     assert err.value.position == 1
+    # a word is read in step letters only; edge letters are refused
+    with pytest.raises(WordError,
+                       match="^invalid step letter 'B' at index 0$"):
+        parse_word("BA")
 
 
 @pytest.mark.parametrize("alphabet, letters, bad", [
@@ -52,16 +55,25 @@ def test_parse():
     ("edge", "ABGabg", "X"), ("edge", "ABGabg", "\n"),
 ])
 def test_bad_letter_in_a_long_word_keeps_its_index(alphabet, letters, bad):
-    # one set test accepts a word; only a rejected one is scanned by index
+    # one set test accepts a word; only a rejected one is scanned by index.
+    # Edge letters are read by edge_to_step, which checks them before it
+    # pairs them
     text = (letters * 2000)[:10 ** 4]
-    assert parse_word(text, alphabet).letters == text
+    if alphabet == "step":
+        read = parse_word
+        assert read(text).letters == text
+    else:
+        read = edge_to_step
+        with pytest.raises(WordError,
+                           match="^edge pair 'AB' at index 0 is not a step"):
+            read(text)  # every letter passes; AB is no step's pair
     at = 10 ** 4 - 7
     with pytest.raises(WordError) as err:
-        parse_word(text[:at] + bad + text[at + 1:], alphabet)
+        read(text[:at] + bad + text[at + 1:])
     assert str(err.value) == f"invalid {alphabet} letter {bad!r} at index {at}"
     assert err.value.position == at
     with pytest.raises(WordError) as err:
-        parse_word(text + bad + bad, alphabet)
+        read(text + bad + bad)
     assert err.value.position == 10 ** 4
 
 
@@ -69,36 +81,42 @@ def test_bad_letter_in_a_long_word_keeps_its_index(alphabet, letters, bad):
 @pytest.mark.parametrize("value", [
     ["X"], ("X",), None, b"X", 5, ["A"], ("A",), b"A"], ids=repr)
 def test_word_letters_must_be_a_str(alphabet, value):
-    # no iterable of letters is read as a word, even one of valid letters
+    # no iterable of letters is read as a word, even one of valid letters;
+    # edge letters are read only by eval_letters and edge_to_step
     named = re.escape(repr(value))
-    with pytest.raises(WordError, match=named):
-        Word(alphabet, value)
-    with pytest.raises(WordError, match=named):
-        parse_word(value, alphabet)
-    with pytest.raises(WordError, match=named):
-        eval_letters(value, alphabet)
-    if alphabet == "step":
-        with pytest.raises(WordError, match=named):
-            step_word(value)
+    readers = ([Word, parse_word, step_word, eval_letters]
+               if alphabet == "step" else
+               [lambda v: eval_letters(v, "edge"), edge_to_step])
+    for read in readers:
+        with pytest.raises(WordError,
+                           match=f"^letters must be a str, got {named}$"):
+            read(value)
 
 
 def test_alphabet_is_checked():
-    with pytest.raises(WordError, match="unknown alphabet 'free'"):
-        Word("free", "X")
-    edge = parse_word("BA", "edge")
-    with pytest.raises(WordError, match="step alphabet only"):
-        closure(edge)
-    with pytest.raises(WordError, match="expects a step word"):
-        step_to_edge(edge)
-    with pytest.raises(WordError, match="expects an edge word"):
-        edge_to_step(step_word("X"))
+    # eval_letters is the one reader that takes an alphabet; a Word holds
+    # step letters only, and edge letters enter as a plain str
+    with pytest.raises(WordError, match="^unknown alphabet 'free'$"):
+        eval_letters("X", "free")
+    assert Word.__slots__ == ("letters",)
+    with pytest.raises(TypeError):
+        Word("edge", "BA")
+    with pytest.raises(WordError, match="^invalid step letter 'B' at index 0"):
+        Word("BA")
+    with pytest.raises(WordError, match="^invalid edge letter 'X' at index 0"):
+        edge_to_step("XA")
+    with pytest.raises(WordError, match="^invalid edge letter 'X' at index 1"):
+        eval_letters("BX", "edge")
+    assert eval_letters("BA", "edge") == eval_letters("X")
+    assert edge_to_step("BA") == (step_word("X"), 0)
+    assert step_to_edge(step_word("X")) == "BA"
 
 
 def test_free_reduce():
     assert free_reduce(step_word("Xx")).letters == ""
     assert free_reduce(step_word("ZYZzyX")).letters == "ZX"
     assert free_reduce(step_word("XYZ")).letters == "XYZ"
-    assert free_reduce(parse_word("BAab", "edge")).letters == ""
+    assert free_reduce(step_word("XYyx")).letters == ""
 
 
 def test_invert():
@@ -115,8 +133,7 @@ def test_rotate120():
     assert rotate120(step_word("X")).letters == "Y"
     w = step_word("ZyzX")
     assert rotate120(rotate120(rotate120(w))) == w
-    with pytest.raises(WordError):
-        rotate120(parse_word("BA", "edge"))
+    assert rotate120(step_word("XYZxyz")).letters == "YZXyzx"
 
 
 EXPECTED_CLOSURE_18 = {
@@ -382,11 +399,11 @@ def test_eval_word_matches_product_fold(letters):
 
 
 def test_step_to_edge():
-    assert step_to_edge(step_word("X")).letters == "BA"
-    assert step_to_edge(step_word("Y")).letters == "aG"
+    assert step_to_edge(step_word("X")) == "BA"
+    assert step_to_edge(step_word("Y")) == "aG"
     # the calibrated composition order makes Z expand gamma^-1 first
-    assert step_to_edge(step_word("Z")).letters == "gb"
-    assert step_to_edge(step_word("x")).letters == "ab"
+    assert step_to_edge(step_word("Z")) == "gb"
+    assert step_to_edge(step_word("x")) == "ab"
 
 
 def test_step_edge_round_trip_preserves_eval():
@@ -397,14 +414,14 @@ def test_step_edge_round_trip_preserves_eval():
         back, shift = edge_to_step(e)
         assert shift == 0
         assert back == w
-        assert eval_word(e) == eval_word(w)
+        assert eval_letters(e, "edge") == eval_word(w)
 
 
 def test_edge_to_step_errors():
     with pytest.raises(WordError):
-        edge_to_step(parse_word("B", "edge"))  # odd length
+        edge_to_step("B")  # odd length
     with pytest.raises(WordError) as err:
-        edge_to_step(parse_word("AA", "edge"))  # ungroupable either phase
+        edge_to_step("AA")  # ungroupable either phase
     assert "AA" in str(err.value) or "aA" in str(err.value)
 
 
@@ -417,13 +434,13 @@ def test_edges_to_steps_reads_pairs_or_none():
 
 def _grouping(fn, letters):
     try:
-        return fn(parse_word(letters, "edge"))
+        return fn(letters)
     except WordError as e:
         return str(e), e.position
 
 
 _STEP_IMAGES = st.text(alphabet="XYZxyz", max_size=28).map(
-    lambda s: step_to_edge(step_word(s)).letters)
+    lambda s: step_to_edge(step_word(s)))
 
 
 @settings(max_examples=300)
@@ -441,7 +458,7 @@ def test_edge_to_step_matches_pairwise_oracle(letters):
 
 def test_edge_to_step_tile_words_need_at_most_one_shift():
     for name, edge_letters in TILE_EDGE_WORDS.items():
-        word, shift = edge_to_step(parse_word(edge_letters, "edge"))
+        word, shift = edge_to_step(edge_letters)
         assert shift in (0, 1), name
         assert word.letters in closure(step_word(TILE_WORDS[name])).members
 
@@ -457,7 +474,7 @@ def test_closure_class_json():
     assert cls.representative.letters == "X"
     assert sorted(cls.members) == sorted("XYZxyz")
     assert isinstance(cls, ClosureClass)
-    assert Word("step", "Y") in cls
+    assert Word("Y") in cls
 
 
 HEX7 = region_validate(HEX7_CELLS)
