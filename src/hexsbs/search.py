@@ -125,6 +125,9 @@ def _enumerate_partition(first_letters: str, max_word_length: int) -> list:
                           run + 1 if ch == last else 1)
 
     visit("X", 0, first_letters, 1, 1, 1)
+    # visit refers to itself through its closure; breaking that cycle lets
+    # reference counting free it, and found, with the collector paused
+    del visit
     return found
 
 

@@ -17,6 +17,9 @@ _SQRT3_2 = 0.8660254037844386
 # the largest float32; a viewer reading the coordinates in single
 # precision gets infinities past it
 _FLOAT32_MAX = 3.4028234663852886e38
+# past 2**53 a float no longer holds every integer, so the corners of
+# neighbouring cells would be written as one point
+_FLOAT_EXACT = 2 ** 53
 
 KIND_COLORS = {"bone": "#7cb342", "stone": "#26a69a", "snake": "#8e24aa"}
 
@@ -29,11 +32,10 @@ class FarDrawingError(OverflowError):
 
 def _xy(point, scale):
     x, y = point
-    try:
-        return (x * scale * 0.5, -y * scale * _SQRT3_2)
-    except OverflowError as e:  # an int past the float range, at any scale
-        raise FarDrawingError(f"a plane coordinate passes the float range: "
-                              f"{e}") from e
+    if not (abs(x) <= _FLOAT_EXACT and abs(y) <= _FLOAT_EXACT):
+        raise FarDrawingError("a plane coordinate passes 2**53, past which "
+                              "floats do not hold every integer")
+    return (x * scale * 0.5, -y * scale * _SQRT3_2)
 
 
 def _fmt(v: float) -> str:

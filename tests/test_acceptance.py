@@ -8,11 +8,8 @@ import random
 import time
 
 from hexsbs.cyclo import IDENTITY, MINUS_IDENTITY, ONE, PMClass
-from hexsbs.fixtures import (CONJECTURE_MINUS, CONJECTURE_PLUS,
-                             CRESCENT_CELLS, CRESCENT_CERTIFICATE,
-                             HEX7_CELLS, REDUCTION_IDENTITIES,
-                             SEQUENCE_2X2X2_LEFT, SEQUENCE_2X2X2_MIDDLE,
-                             TABLE_WORDS, TILE_EDGE_WORDS, TILE_WORDS)
+from hexsbs.fixtures import (REDUCTION_IDENTITIES, TABLE_WORDS,
+                             TILE_EDGE_WORDS, TILE_WORDS)
 from hexsbs.hexgrid import (grow_random_region, region_boundary_word,
                             region_validate)
 from hexsbs.search import (SearchConfig, enumerate_identity_words,
@@ -28,6 +25,9 @@ from hexsbs.words import (canonical_representative, closure, classify_pm,
                           eval_letters, eval_word, free_reduce, invert_word,
                           step_word)
 
+from fixture_data import (CONJECTURE_MINUS, CONJECTURE_PLUS, CRESCENT_CELLS,
+                          CRESCENT_CERTIFICATE, HEX7_CELLS,
+                          SEQUENCE_2X2X2_LEFT, SEQUENCE_2X2X2_MIDDLE)
 from oracles import (brute_force_tiling_count, coset_trace,
                      naive_identity_classes, sign_presentation, todd_coxeter,
                      winding_cells)

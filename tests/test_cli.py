@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -193,6 +194,95 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
                  ["check-region", "--in", str(FIXTURES / "hex7.json")]):
         invoke(capsys, *argv)
     assert len(built) == 1
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """The cyclic garbage collector enabled or disabled, as asked, and
+    set back as it was afterwards."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False],
+                         ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv, exc, outcome", [
+    (["check-region", "--in", str(FIXTURES / "hex7.json")], None, 0),
+    (["solve-exact", "--in", str(FIXTURES / "hex7.json")], None, 1),
+    (["check-region", "--in", str(FIXTURES / "ring6.json")], None, 2),
+    (["solve-exact", "--in", str(FIXTURES / "bone.json")],
+     RuntimeError("crash"), 2),
+    (["solve-exact", "--no-such-flag"], None, SystemExit),
+    (["solve-exact", "--in", str(FIXTURES / "bone.json")],
+     KeyboardInterrupt(), KeyboardInterrupt),
+], ids=["exit-0", "exit-1", "input-error", "crash", "usage-error",
+        "interrupt"])
+def test_run_restores_the_callers_collector_state(capsys, monkeypatch,
+                                                  enabled, argv, exc,
+                                                  outcome):
+    seen = []
+
+    def solve(*args, **kwargs):
+        seen.append(gc.isenabled())
+        if exc is not None:
+            raise exc
+
+    monkeypatch.setattr(cli, "standard_tiling_solve", solve)
+    with collector(enabled):
+        if isinstance(outcome, int):
+            assert run(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                run(argv)
+        assert gc.isenabled() is enabled
+    # the command itself ran with the collector paused
+    assert seen == ([False] if argv[:2] == ["solve-exact", "--in"] else [])
+
+
+def test_no_command_leaves_cyclic_garbage(capsys, tmp_path):
+    # the collector is paused while a command runs, so a reference cycle
+    # a command left would stay in memory until some later collection.
+    # The collector is disabled here too, so no threshold can trip inside
+    # a command, and the collection after it finds what the command left
+    out = str(tmp_path / "out.svg")
+    commands = [
+        ["check-region", "--in", str(FIXTURES / "hex7.json")],
+        ["solve-signed", "--in", str(FIXTURES / "crescent.json")],
+        ["solve-exact", "--in", str(FIXTURES / "crescent.json")],
+        ["solve-exact", "--in", str(FIXTURES / "hex7.json"), "--count"],
+        ["probe-stones", "--in", str(FIXTURES / "crescent.json")],
+        ["check-sequence", "--in", str(FIXTURES / "seq_2x2x2_left.json")],
+        ["render", "--subject", "region", "--in",
+         str(FIXTURES / "hex7.json"), "--out", out],
+        ["render", "--subject", "tiling", "--in",
+         str(FIXTURES / "crescent_tiling.json"), "--out", out],
+        ["render", "--subject", "path", "--in", "ZyZYzYX", "--out", out],
+        ["enumerate", "--max-length", "9"],
+        ["enumerate", "--max-length", "9", "--partitions", "3"],
+        ["enumerate", "--census", "--max-length", "30"],
+        ["reduce", "--max-length", "9"],
+        ["endpoints", "--max-length", "7"],
+        ["group-probe"],
+        ["verify-tiles"],
+        ["verify-reductions"],
+        ["check-region", "--in", str(FIXTURES / "ring6.json")],
+    ]
+    for argv in commands:  # first calls fill caches that last the process
+        run(argv)
+    left = {}
+    with collector(True):
+        for argv in commands:
+            gc.collect()
+            gc.disable()
+            run(argv)
+            gc.enable()
+            left[" ".join(argv)] = gc.collect()
+    capsys.readouterr()
+    assert left == dict.fromkeys(left, 0)
 
 
 def test_cli_import_builds_no_parser():
@@ -652,12 +742,15 @@ def test_render_rejects_a_scale_whose_drawing_overflows(capsys, tmp_path,
 
 
 @pytest.mark.parametrize("subject", ["region", "tiling"])
-@pytest.mark.parametrize("q", [10 ** 40, 10 ** 320], ids=["1e40", "1e320"])
+@pytest.mark.parametrize("q", [10 ** 17, 10 ** 40, 10 ** 320],
+                         ids=["1e17", "1e40", "1e320"])
 def test_render_blames_coordinates_too_far_to_draw(capsys, tmp_path,
                                                    subject, q):
-    # a small drawing far from the origin (1e40), or past the float range
-    # (1e320), is the input's fault, not the default scale's
-    data = {"cells": [[q, 0]]}
+    # a small drawing past 2**53 (1e17), where floats would write the
+    # corners of neighbouring cells as one point, far from the origin
+    # (1e40), or past the float range (1e320), is the input's fault, not
+    # the default scale's
+    data = {"cells": [[q, 0], [q + 1, 0]]}
     if subject == "tiling":  # a bone and the region it covers
         data = {"region": {"cells": [[q - 2, 2], [q - 1, 1], [q, 0]]},
                 "certificate": [{"kind": "bone", "orientation": "left",

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexsbs.fixtures import (BARBELL_CELLS, BARBELL_WORD, HEX7_CELLS,
-                             HEX7_WORD, RING6_CELLS, TILE_WORDS)
+from hexsbs.fixtures import TILE_WORDS
 from hexsbs.hexgrid import (STEP_DISPLACEMENTS, STEP_EDGE_DELTAS, Region,
                             RegionError, _boundary_walk, _walk_from,
                             cell_center_plane, grow_random_region, is_closed,
@@ -18,6 +17,8 @@ from hexsbs.hexgrid import (STEP_DISPLACEMENTS, STEP_EDGE_DELTAS, Region,
 from hexsbs.words import (STEP_TO_EDGES, WordError, closure, eval_letters,
                           eval_word, invert_word, step_to_edge, step_word)
 
+from fixture_data import (BARBELL_CELLS, BARBELL_WORD, HEX7_CELLS, HEX7_WORD,
+                          RING6_CELLS)
 from oracles import (euler_characteristic, flood_is_simply_connected,
                      pair_count_boundary_walk, reversed_pair_boundary_word,
                      scanning_region_validate, winding_cells)

@@ -9,7 +9,6 @@ import pickle
 import pytest
 
 from hexsbs.cyclo import IDENTITY, CycInt, Mat2
-from hexsbs.fixtures import CRESCENT_SEQUENCE, HEX7_CELLS
 from hexsbs.hexgrid import Region, region_boundary_word, region_validate
 from hexsbs.search import (SearchConfig, enumerate_identity_words,
                            group_closure_probe, identity_word_census,
@@ -20,6 +19,8 @@ from hexsbs.tiling import (_build_catalog, constructible_sequence_check,
                            standard_tiling_solve)
 from hexsbs.words import (STEP_MATRICES, SizeError, Word, WordError,
                           _build_step_group, closure, step_word)
+
+from fixture_data import CRESCENT_SEQUENCE, HEX7_CELLS
 
 
 def _step(action, kind, orientation, anchor):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hexsbs import search
 from hexsbs.cyclo import IDENTITY, PMClass
-from hexsbs.fixtures import CONJECTURE_MINUS, CONJECTURE_PLUS, TABLE_WORDS
+from hexsbs.fixtures import TABLE_WORDS
 from hexsbs.hexgrid import is_closed
 from hexsbs.search import (CensusReport, GroupProbeResult, RelationRecord,
                            SearchConfig, enumerate_identity_words,
@@ -19,6 +19,7 @@ from hexsbs.search import (CensusReport, GroupProbeResult, RelationRecord,
 from hexsbs.words import (STEP_GROUP, STEP_MATRICES, canonical_representative,
                           eval_letters, is_least_member, step_word)
 
+from fixture_data import CONJECTURE_MINUS, CONJECTURE_PLUS
 from oracles import (INVERSE, census_counts_by_length, closure_set,
                      closure_set_identity_words, coset_trace,
                      count_identity_words, endpoints_by_length,

@@ -15,12 +15,7 @@ from hypothesis import strategies as st
 
 from hexsbs.cli import load_region
 from hexsbs.cyclo import IDENTITY, PMClass
-from hexsbs.fixtures import (CRESCENT_CELLS, CRESCENT_CERTIFICATE,
-                             CRESCENT_SEQUENCE, BARBELL_CELLS, HEX7_CELLS,
-                             RING6_CELLS, SEQUENCE_2X2X2_LEFT,
-                             SEQUENCE_2X2X2_LEFT_TARGET,
-                             SEQUENCE_2X2X2_MIDDLE,
-                             SEQUENCE_2X2X2_MIDDLE_TARGET, TILE_WORDS)
+from hexsbs.fixtures import TILE_WORDS
 from hexsbs.hexgrid import (NEIGHBOR_OFFSETS, Region, RegionError,
                             grow_random_region, neighbors, path_endpoint,
                             region_boundary_word, region_validate)
@@ -36,6 +31,10 @@ from hexsbs.tiling import (KINDS, ConstructionStep, IntegerLattice, Placement,
 from hexsbs.words import (STEP_GROUP, STEP_MATRICES, closure, eval_word,
                           step_word)
 
+from fixture_data import (BARBELL_CELLS, CRESCENT_CELLS, CRESCENT_CERTIFICATE,
+                          CRESCENT_SEQUENCE, HEX7_CELLS, RING6_CELLS,
+                          SEQUENCE_2X2X2_LEFT, SEQUENCE_2X2X2_LEFT_TARGET,
+                          SEQUENCE_2X2X2_MIDDLE, SEQUENCE_2X2X2_MIDDLE_TARGET)
 from oracles import (DenseIntegerLattice, InsertionLattice,
                      anchor_scan_placements, brute_force_tiling_count,
                      flood_is_simply_connected,

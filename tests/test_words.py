@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from hexsbs import fixtures, words
 from hexsbs.cyclo import (ALPHA, BETA, GAMMA, IDENTITY, MINUS_IDENTITY,
                           Mat2, PMClass)
-from hexsbs.fixtures import (CONJECTURE_MINUS, CONJECTURE_PLUS, HEX7_CELLS,
-                             TABLE_WORDS, TILE_EDGE_WORDS, TILE_WORDS)
+from hexsbs.fixtures import TABLE_WORDS, TILE_EDGE_WORDS, TILE_WORDS
 from hexsbs.hexgrid import grow_random_region, region_validate
 from hexsbs.search import (SearchConfig, group_closure_probe,
                            identity_endpoint_lattice, identity_word_census)
@@ -25,6 +24,7 @@ from hexsbs.words import (STEP_GROUP, STEP_MATRICES, TILE_CLASSES,
                           is_cyclically_reduced, is_least_member, parse_word,
                           rotate120, step_to_edge, step_word)
 
+from fixture_data import CONJECTURE_MINUS, CONJECTURE_PLUS, HEX7_CELLS
 from oracles import INVERSE, closure_set, eval_by_products, \
     exact_matches_complex, pairwise_edge_to_step
 
