@@ -8,9 +8,12 @@ words "X" + w a letter at a time, only along the prefixes a least member
 can have, and records a word that evaluates to +-I when no member of its
 class sorts before it.  Once a prefix has left its leading run of X, no
 letter's run may grow longer than that run: some variant maps the letter
-to X, and so has a member that sorts first.  The level before the last
-grows only the prefixes whose group state some letter closes to +-I, as
-the others have no word to record.  The least-member test compares only
+to X, and so has a member that sorts first.  Nor may a run exactly that
+long stand next to a letter that this variant maps below the letter
+after the lead: that member then starts with the same run of X and
+sorts first at the next letter.  The level before the last grows only
+the prefixes whose group state some letter closes to +-I, as the others
+have no word to record.  The least-member test compares only
 the members that start with the word's leading run of X.  No closure set
 is built; the tests check the output against the former closure-set and
 unpruned prenecklace enumerations and a naive oracle.
@@ -31,7 +34,7 @@ from collections import Counter, namedtuple
 
 from .cyclo import PMClass
 from .hexgrid import STEP_DISPLACEMENTS
-from .words import (STEP_GROUP, STEP_INVERT, STEP_LETTERS,
+from .words import (_VARIANT_MAPS, STEP_GROUP, STEP_INVERT, STEP_LETTERS,
                     canonical_representative, check_size, closure_variants,
                     eval_letters, is_least_member, step_word)
 
@@ -44,6 +47,19 @@ _FOLLOWERS = {last: tuple(ch for ch in STEP_LETTERS
               for last in STEP_LETTERS}
 # the letters that may follow, or cyclically precede, a leading X
 START_LETTERS = "XYZyz"
+# Each letter a is X in one variant, the _VARIANT_MAPS entry whose source
+# it is.  _LOSES[a][b]: the letters c whose image in that variant sorts
+# before b.  A word X^lead b ... with a run of exactly lead a's next to c
+# (after the run for uppercase a, before it for lowercase a, as that
+# variant reads the word backwards) has a member X^lead image(c) ..., which
+# sorts first if c is in _LOSES[a][b].  _OPENS[c][b]: the lowercase a
+# whose lead-long run loses after c.
+_LOSES = {src: {b: "".join(ch for ch in STEP_LETTERS
+                           if ch.translate(table) < b)
+                for b in STEP_LETTERS}
+          for src, _, table in _VARIANT_MAPS}
+_OPENS = {c: {b: "".join(a for a in "xyz" if c in _LOSES[a][b])
+              for b in STEP_LETTERS} for c in STEP_LETTERS}
 
 
 class RelationRecord(namedtuple("RelationRecord",
@@ -100,22 +116,35 @@ def _enumerate_partition(first_letters: str, max_word_length: int) -> list:
         # run of X in u and run the run of its last letter.  Once the lead
         # has ended, no letter's run may outgrow it: each letter is X in
         # one of the six variants, so a longer run gives a member that
-        # starts with more X and sorts first.  The children that close
-        # are kept, and only those with children of their own are grown:
-        # the last level makes no call, and the level before it skips a
-        # child whose state no letter closes.
+        # starts with more X and sorts first.  A run of exactly lead
+        # letters a, not X, loses when its neighbour is in _LOSES[a][b]:
+        # an uppercase run as the next letter ends it, a lowercase one as
+        # it reaches lead.  barred holds the letters that may not come
+        # next, to grow u or to close it; a tie is left to
+        # is_least_member.  The children that close are kept, and only
+        # those with children of their own are grown: the last level
+        # makes no call, and the level before it skips a child whose
+        # state no letter closes.
         n, last = len(u), u[-1]
         floor = u[n - period]
-        capped = last if lead < n and run == lead else ""
+        barred = ""
+        if lead < n:
+            b = u[lead]
+            if run == lead:
+                barred = last + _LOSES[last][b] if last in "YZ" else last
+            if lead == 1:
+                barred += _OPENS[last][b]
+            elif run + 1 == lead and last in _OPENS[u[n - lead]][b]:
+                barred += last
         for ch, k in closers[state]:
-            if (ch in letters and ch >= floor and ch != capped
+            if (ch in letters and ch >= floor and ch not in barred
                     and (ch != floor or (n + 1) % period == 0)
                     and is_least_member(u + ch)):
                 found.append((u + ch, k))
         if n + 2 <= max_word_length:
             deepest = n + 2 == max_word_length
             for ch in letters:
-                if ch >= floor and ch != capped:
+                if ch >= floor and ch not in barred:
                     child = step[ch][state]
                     if deepest and not closers[child]:
                         continue

@@ -965,9 +965,10 @@ def test_signed_stdout_matches_golden_hash(capsys, command, name):
 # regions with many tilings, and a count that reaches the cap.  The
 # length-8 enumerate and reduce, the benchmark's sizes, were pinned from
 # the search before its last level skipped states that no letter closes
-# and before RelationRecord.jsonl wrote its line out by hand.  The
-# group-probe runs were pinned from the former Mat2 closure, before the
-# probe walked STEP_GROUP.
+# and before RelationRecord.jsonl wrote its line out by hand, and the
+# length-10 ones before it skipped the prefixes in which a lead-long run's
+# neighbour already loses.  The group-probe runs were pinned from the
+# former Mat2 closure, before the probe walked STEP_GROUP.
 REGION_FIXTURES = ("bone.json", "crescent.json", "hex7.json", "hex7.txt",
                    "ring6.json", "single_cell.json")
 PARALLELOGRAMS = {"para3x4": (3, 4), "para4x6": (4, 6)}
@@ -1035,6 +1036,8 @@ GOLDEN_STDOUT = {
         "72f641e890e77bebd210ff80d0787ab518dc026ecf783de27896a220f8efdff3",
     ("enumerate --max-length 8", ""):
         "1531fb68dd2677f898d9492c29f635d3b6e7e6257f8c39595dfd2844c2dad848",
+    ("enumerate --max-length 10", ""):
+        "b4d33048cc9972c7c4f57900fce8c5d3a4051e8a1e4787613c217d647f113801",
     ("group-probe", ""):
         "90b534a2d516fd116dceaea0a5a42923540bb90bb269c4eea19a85911a358da8",
     ("group-probe --generators X --bound 100", ""):
@@ -1049,6 +1052,8 @@ GOLDEN_STDOUT = {
         "e79936baabf8cd32c95c85a320e079ee256be24576f9316cf4e7c16909d3e8eb",
     ("reduce --max-length 8", ""):
         "2c5123c0525e96250c20e203b39318b2c0edaf45ac1948e44d39773df1a496be",
+    ("reduce --max-length 10", ""):
+        "8fbcef1ce7ef631f4883508b01b8c93fddaa9fe20d174e33694ecf868466522e",
     ("solve-exact", "bone.json"):
         "2b0662db26bb5a21a5e5e7caf65ee62d9c3ca840da3df685acaa8e0738a3783d",
     ("solve-exact", "crescent.json"):

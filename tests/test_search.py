@@ -17,7 +17,8 @@ from hexsbs.search import (CensusReport, GroupProbeResult, RelationRecord,
                            identity_word_census, reduce_relation_list,
                            verify_reduction_table)
 from hexsbs.words import (STEP_GROUP, STEP_MATRICES, canonical_representative,
-                          eval_letters, is_least_member, step_word)
+                          closure_variants, eval_letters, is_least_member,
+                          step_word)
 
 from fixture_data import CONJECTURE_MINUS, CONJECTURE_PLUS
 from oracles import (INVERSE, census_counts_by_length, closure_set,
@@ -89,9 +90,9 @@ def test_records_round_trip_and_order():
 
 
 def test_partitioned_runs_merge_identically():
-    single = enumerate_identity_words(SearchConfig(7, partitions=1))
+    single = enumerate_identity_words(SearchConfig(10, partitions=1))
     for parts in (2, 3, 6):
-        multi = enumerate_identity_words(SearchConfig(7, partitions=parts))
+        multi = enumerate_identity_words(SearchConfig(10, partitions=parts))
         assert [r.jsonl() for r in multi] == [r.jsonl() for r in single]
 
 
@@ -126,7 +127,8 @@ def test_enumeration_matches_unpruned_prenecklace_oracle(unpruned_records,
 
 def test_run_rule_and_necklace_skip_spare_least_member_calls(monkeypatch):
     # regression pin: the unpruned search calls is_least_member 4,725 times
-    # at length 8 to keep the same 882 classes
+    # at length 8 to keep the same 882 classes, and 1,735 times without
+    # the rule for lead-long runs
     calls = []
 
     def counted(letters):
@@ -135,7 +137,7 @@ def test_run_rule_and_necklace_skip_spare_least_member_calls(monkeypatch):
 
     monkeypatch.setattr(search, "is_least_member", counted)
     assert len(enumerate_identity_words(SearchConfig(8))) == 882
-    assert len(calls) == 1735
+    assert len(calls) == 1157
 
 
 class _CountedLookups(dict):
@@ -148,12 +150,15 @@ class _CountedLookups(dict):
         return super().__getitem__(key)
 
 
-@pytest.mark.parametrize("max_len, visits", [(8, 4317), (10, 76445)])
+# the ids keep the visit counts from before the rule for lead-long runs
+@pytest.mark.parametrize("max_len, visits", [(8, 2717), (10, 49749)],
+                         ids=["8-4317", "10-76445"])
 def test_last_level_skips_states_no_letter_closes(monkeypatch, max_len,
                                                   visits):
     # regression pin: every visit but the root's looks up the followers of
     # its last letter.  Without the skip the search makes 7,641 visits at
-    # length 8 and 138,321 at length 10, for the same classes
+    # length 8 and 138,321 at length 10, for the same classes, and without
+    # the rule for lead-long runs 4,317 and 76,445
     followers = _CountedLookups(search._FOLLOWERS)
     monkeypatch.setattr(search, "_FOLLOWERS", followers)
     records = enumerate_identity_words(SearchConfig(max_len))
@@ -197,6 +202,45 @@ def test_a_run_longer_than_the_lead_is_never_least(letters):
     assume(rest and max(rest) > lead)
     assert min(closure_set(letters)) < letters
     assert not is_least_member(letters)
+
+
+def lead_long_run_loses(letters):
+    """Whether a run of exactly lead letters a, not X, stands next to a
+    letter that the variant mapping a to X takes below letters[lead]: the
+    letter after the run, cyclically, for uppercase a, and the one before
+    it for lowercase a."""
+    runs = [(ch, len(list(run))) for ch, run in itertools.groupby(letters)]
+    lead = runs[0][1]
+    if lead == len(letters):
+        return False
+    start = 0
+    for ch, size in runs:
+        if ch != "X" and size == lead:
+            c = (letters[(start + size) % len(letters)] if ch.isupper()
+                 else letters[start - 1])
+            # closure_variants yields the six variants in one order
+            image = next(vc for va, vc in zip(closure_variants(ch),
+                                              closure_variants(c))
+                         if va == "X")
+            if image < letters[lead]:
+                return True
+        start += size
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(x_led_reduced_words())
+def test_a_lead_long_run_next_to_a_losing_letter_is_never_least(letters):
+    assume(lead_long_run_loses(letters))
+    assert min(closure_set(letters)) < letters
+    assert not is_least_member(letters)
+
+
+def test_no_least_member_has_a_lead_long_run_next_to_a_losing_letter(
+        unpruned_records):
+    records = unpruned_records[1]
+    assert len(records) == 17548
+    assert not any(lead_long_run_loses(r.representative) for r in records)
 
 
 @pytest.mark.parametrize("max_len", range(2, 10))
