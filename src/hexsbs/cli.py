@@ -23,7 +23,8 @@ import sys
 
 from . import fixtures, svg
 from .cyclo import PMClass
-from .hexgrid import Region, region_from_ascii, region_from_json
+from .hexgrid import (Region, region_from_ascii, region_from_data,
+                      region_from_json)
 from .search import (SearchConfig, enumerate_identity_words,
                      group_closure_probe, identity_endpoint_lattice,
                      identity_word_census, reduce_relation_list,
@@ -33,7 +34,8 @@ from .tiling import (KINDS, SignedTiling, boundary_obstruction_check,
                      construction_step_from_json, min_stone_probe,
                      signed_tiling_solve, signed_tiling_verify,
                      standard_tiling_solve)
-from .words import TILE_CLASSES, SizeError, Word, WordError, parse_word
+from .words import (TILE_CLASSES, SizeError, Word, WordError, brief,
+                    parse_word)
 
 
 class InputError(Exception):
@@ -71,7 +73,7 @@ def load_word(path_or_literal: str) -> Word:
     try:
         return parse_word(text)
     except WordError as e:
-        raise InputError(f"bad word {text!r}: {e}") from e
+        raise InputError(f"bad word {brief(text)}: {e}") from e
 
 
 def _read_json(path: str):
@@ -190,14 +192,14 @@ def cmd_reduce(args) -> int:
     records = enumerate_identity_words(cfg)
     reduction = reduce_relation_list(records)
     from .words import canonical_representative
+    table = [(letters, label, canonical_representative(letters))
+             for letters, label in fixtures.TABLE_WORDS]
+    raw_reps = {rep for _, _, rep in table}.intersection(
+        r.representative for r in records)
     survivor_reps = {r.representative for r in reduction.survivors}
-    raw_reps = {r.representative for r in records}
-    comparison = []
-    for letters, label in fixtures.TABLE_WORDS:
-        rep = canonical_representative(letters)
-        comparison.append({"word": letters, "label": label,
-                           "in_raw": rep in raw_reps,
-                           "survived": rep in survivor_reps})
+    comparison = [{"word": letters, "label": label, "in_raw": rep in raw_reps,
+                   "survived": rep in survivor_reps}
+                  for letters, label, rep in table]
     _emit({"raw_count": len(records),
            "survivor_count": len(reduction.survivors),
            "survivors": [r.to_json() for r in reduction.survivors],
@@ -261,7 +263,7 @@ def _render_doc(args) -> str:
             if isinstance(data, dict):
                 entries = data.get("certificate")
                 if "region" in data:
-                    region = region_from_json(json.dumps(data["region"]))
+                    region = region_from_data(data["region"])
             tiling = SignedTiling.from_json(entries)
         except ValueError as e:  # RegionError is one
             raise InputError(f"{args.infile}: {e}") from e
@@ -273,8 +275,8 @@ def _render_doc(args) -> str:
     return svg.render_path(load_word(args.infile), scale=args.scale)
 
 
-_PARTITIONS_HELP = ("split the search by first letter into this many parts, "
-                    "run in turn; the output is identical")
+_PARTITIONS_HELP = ("accepted for compatibility and checked (at least 1); "
+                    "one search runs whatever its value")
 
 
 def build_parser() -> argparse.ArgumentParser:

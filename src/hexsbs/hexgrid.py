@@ -34,7 +34,7 @@ from collections import namedtuple
 from itertools import chain, repeat
 
 from .cyclo import Frozen, setters
-from .words import (STEP_TO_EDGES, Word, check_size, edges_to_steps,
+from .words import (STEP_TO_EDGES, Word, brief, check_size, edges_to_steps,
                     step_word)
 
 Cell = tuple  # (q, r)
@@ -249,13 +249,13 @@ def _scan_cells(cells: list) -> frozenset:
     seen = set()
     for i, cell in enumerate(cells):
         if not isinstance(cell, (list, tuple)) or len(cell) != 2:
-            raise RegionError(f"cell {i}: {cell!r} is not a [q, r] pair")
+            raise RegionError(f"cell {i}: {brief(cell)} is not a [q, r] pair")
         for x in cell:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise RegionError(
-                    f"cell {i}: coordinate {x!r} is not an integer")
+                    f"cell {i}: coordinate {brief(x)} is not an integer")
         if tuple(cell) in seen:
-            raise RegionError(f"cell {i}: {list(cell)} is a duplicate")
+            raise RegionError(f"cell {i}: {brief(list(cell))} is a duplicate")
         seen.add(tuple(cell))
     return frozenset(seen)
 
@@ -348,6 +348,11 @@ def region_from_json(text: str, allow_empty: bool = False) -> Region:
         data = json.loads(text)
     except RecursionError as e:  # arrays nested past the parser's stack
         raise RegionError(f"JSON nested too deep to read: {e}") from e
+    return region_from_data(data, allow_empty)
+
+
+def region_from_data(data, allow_empty: bool = False) -> Region:
+    """A Region from decoded region JSON, {"cells": [[q, r], ...]}."""
     if not isinstance(data, dict) or not isinstance(data.get("cells"), list):
         raise RegionError('region JSON must be {"cells": [[q, r], ...]}')
     return region_validate(data["cells"], allow_empty)

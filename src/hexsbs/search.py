@@ -14,7 +14,10 @@ after the lead: that member then starts with the same run of X and
 sorts first at the next letter.  The level before the last grows only
 the prefixes whose group state some letter closes to +-I, as the others
 have no word to record.  The least-member test compares only
-the members that start with the word's leading run of X.  No closure set
+the members that start with the word's leading run of X.  One search
+runs from X, trying letters in ascending order, so it meets the words
+of each length in sorted order (Ruskey, Savage and Wang, "Generating
+necklaces", J. Algorithms 1992), and no sort follows.  No closure set
 is built; the tests check the output against the former closure-set and
 unpruned prenecklace enumerations and a naive oracle.
 
@@ -96,15 +99,30 @@ class SearchConfig(namedtuple("SearchConfig",
         return cls(*iterable)
 
 
-def _enumerate_partition(first_letters: str, max_word_length: int) -> list:
+def _closes(letters: str) -> bool:
+    """Whether a step word's path returns to its start.  The displacements
+    of X, Y and Z sum to zero and X, Y are independent, so the path
+    closes exactly when #X - #x = #Y - #y = #Z - #z."""
+    count = letters.count
+    return (count("X") - count("x") == count("Y") - count("y")
+            == count("Z") - count("z"))
+
+
+def enumerate_identity_words(cfg: SearchConfig = SearchConfig()) -> list:
+    """Closure classes of cyclically reduced words with value +-I and
+    length <= cfg.max_word_length, each once as its least member "X" + w,
+    sorted by (length, representative): the search files each record
+    under its length, and meets each length's words in that order.  One
+    search runs whatever cfg.partitions is; the field is only checked."""
     step, pm = STEP_GROUP.step, STEP_GROUP.pm
+    max_word_length = cfg.max_word_length
     # closers[state]: the letters ch, not x, with state * ch * X = +-I,
     # and that value, which "X" + w + ch shares with its shift w + ch + "X"
     closers = [tuple((ch, k) for ch in START_LETTERS
                      for k in (pm[step["X"][step[ch][state]]],)
                      if k is not PMClass.OTHER)
                for state in range(len(pm))]
-    found = []
+    by_length = [[] for _ in range(max_word_length + 1)]
 
     def visit(u: str, state: int, letters, period: int, lead: int,
               run: int):
@@ -139,8 +157,9 @@ def _enumerate_partition(first_letters: str, max_word_length: int) -> list:
         for ch, k in closers[state]:
             if (ch in letters and ch >= floor and ch not in barred
                     and (ch != floor or (n + 1) % period == 0)
-                    and is_least_member(u + ch)):
-                found.append((u + ch, k))
+                    and is_least_member(word := u + ch)):
+                by_length[n + 1].append(
+                    RelationRecord(word, k, n + 1, _closes(word)))
         if n + 2 <= max_word_length:
             deepest = n + 2 == max_word_length
             for ch in letters:
@@ -153,37 +172,11 @@ def _enumerate_partition(first_letters: str, max_word_length: int) -> list:
                           lead + 1 if lead == n and ch == "X" else lead,
                           run + 1 if ch == last else 1)
 
-    visit("X", 0, first_letters, 1, 1, 1)
+    visit("X", 0, START_LETTERS, 1, 1, 1)
     # visit refers to itself through its closure; breaking that cycle lets
-    # reference counting free it, and found, with the collector paused
+    # reference counting free it, with the collector paused
     del visit
-    return found
-
-
-def _closes(letters: str) -> bool:
-    """Whether a step word's path returns to its start.  The displacements
-    of X, Y and Z sum to zero and X, Y are independent, so the path
-    closes exactly when #X - #x = #Y - #y = #Z - #z."""
-    count = letters.count
-    return (count("X") - count("x") == count("Y") - count("y")
-            == count("Z") - count("z"))
-
-
-def enumerate_identity_words(cfg: SearchConfig = SearchConfig()) -> list:
-    """Closure classes of cyclically reduced words with value +-I and
-    length <= cfg.max_word_length, each once as its least member "X" + w,
-    sorted by (length, representative).  cfg.partitions splits the search
-    by the first letter of w; the parts run in turn in this process and
-    merge to the same output as a single part.
-    """
-    groups = [START_LETTERS[i::cfg.partitions]
-              for i in range(min(cfg.partitions, len(START_LETTERS)))]
-    records = [RelationRecord(rep, value, len(rep), _closes(rep))
-               for group in groups
-               for rep, value in _enumerate_partition(group,
-                                                      cfg.max_word_length)]
-    records.sort(key=lambda r: (r.length, r.representative))
-    return records
+    return [record for level in by_length for record in level]
 
 
 class Reduction(namedtuple("Reduction", "survivors casualties")):
@@ -202,10 +195,12 @@ def _windows(letters: str, h: int) -> set:
 
 def reduce_relation_list(records) -> Reduction:
     """Accept a record only if no member of its closure contains a factor
-    longer than half the length of a previously accepted relation; records
-    must be sorted shortest-first.  Each casualty reports the factor and
-    the accepted relation that produced it: the earliest such relation, and
-    the least factor shared with it.
+    longer than half the length of a previously accepted relation.  The
+    records are read once, so any iterable will do; they must be sorted
+    shortest-first, by (length, representative), and may repeat, and the
+    first pair out of order raises ValueError.  Each casualty reports the
+    factor and the accepted relation that produced it: the earliest such
+    relation, and the least factor shared with it.
 
     That factor has h = length // 2 + 1 letters, for the length of the
     relation.  A longer shared factor starts with a shared one of length h,
@@ -217,14 +212,15 @@ def reduce_relation_list(records) -> Reduction:
     variant to the least variant of its window's orbit, which is the same
     for every member of that orbit, so the factor is the least value of a
     shared window."""
-    records = list(records)
-    if records != sorted(records, key=lambda r: (r.length, r.representative)):
-        raise ValueError("records must be sorted shortest-first")
     accepted = []  # of (h, {window variant: least variant}, representative)
     survivors = []
     casualties = []
+    last = (0, "")
     for record in records:
         w = record.representative
+        if (record.length, w) < last:
+            raise ValueError("records must be sorted shortest-first")
+        last = record.length, w
         own = {}  # h -> the record's windows of length h
         for h, windows, source in accepted:
             if h not in own:

@@ -21,7 +21,7 @@ from . import fixtures
 from .cyclo import PMClass
 from .hexgrid import (NEIGHBOR_OFFSETS, Region, left_cells, neighbors,
                       region_boundary_word, region_validate, ring_arcs)
-from .words import check_size, classify_pm, eval_word, step_word
+from .words import brief, check_size, classify_pm, eval_word, step_word
 
 KINDS = ("bone", "stone", "snake")
 
@@ -69,8 +69,10 @@ def tile_catalog() -> tuple:
 def tile_shape(kind: str, orientation: str) -> TileShape:
     try:
         return _BY_NAME[f"{kind}_{orientation}"]
-    except KeyError:
-        raise ValueError(f"unknown tile {kind}_{orientation}") from None
+    except KeyError:  # a long or non-string part is quoted, cut short
+        parts = [part if type(part) is str and len(part) <= 30
+                 else brief(part) for part in (kind, orientation)]
+        raise ValueError(f"unknown tile {'_'.join(parts)}") from None
 
 
 class Placement(namedtuple("Placement", "shape anchor")):
@@ -96,11 +98,11 @@ def placement_from_json(obj: dict) -> Placement:
     """A placement from {"kind", "orientation", "anchor": [q, r]}; the
     anchor must be a pair of integers, not booleans or floats."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{obj!r} is not an object")
+        raise ValueError(f"{brief(obj)} is not an object")
     anchor = _field(obj, "anchor")
     if (not isinstance(anchor, (list, tuple)) or len(anchor) != 2
             or any(type(x) is not int for x in anchor)):
-        raise ValueError(f"anchor {anchor!r} is not a pair of integers")
+        raise ValueError(f"anchor {brief(anchor)} is not a pair of integers")
     return Placement(tile_shape(_field(obj, "kind"),
                                 _field(obj, "orientation")), tuple(anchor))
 
@@ -110,11 +112,11 @@ def _tile_kinds(kinds) -> tuple:
     since `in` would match its substrings."""
     if isinstance(kinds, str):
         raise ValueError(f"kinds must be a collection of names, "
-                         f"not the string {kinds!r}")
+                         f"not the string {brief(kinds)}")
     kinds = tuple(kinds)
     for k in kinds:
         if k not in KINDS:
-            raise ValueError(f"unknown tile kind {k!r}")
+            raise ValueError(f"unknown tile kind {brief(k)}")
     return kinds
 
 
@@ -245,7 +247,7 @@ class SignedTiling(namedtuple("SignedTiling", "entries")):
             try:
                 placement, coeff = placement_from_json(e), _field(e, "coeff")
                 if type(coeff) is not int or coeff not in (1, -1):
-                    raise ValueError(f"coeff {coeff!r} is not 1 or -1")
+                    raise ValueError(f"coeff {brief(coeff)} is not 1 or -1")
             except ValueError as err:
                 raise ValueError(f"entry {i}: {err}") from err
             entries.append((placement, coeff))
@@ -482,7 +484,6 @@ class IntegerLattice:
                 break  # before the next shape is built
         self._basis = [(c, *basis[c]) for c in sorted(basis)]
         self._log = log
-        self._n_placements = used  # the length of every solution
         self.placements = placements
         self.rows_used = used
         self.rows_skipped = skipped
@@ -501,7 +502,7 @@ class IntegerLattice:
         if any(v and c not in index for c, v in target.items()):
             return None
         resid = {index[c]: v for c, v in target.items() if v}
-        y = [0] * self._n_placements
+        y = [0] * self.rows_used  # the length of every solution
         for col, row, k in self._basis:
             if col not in resid:
                 continue
@@ -701,7 +702,7 @@ def construction_step_from_json(obj: dict) -> ConstructionStep:
     placement = placement_from_json(obj)
     action = _field(obj, "action")
     if action not in ("add", "remove"):
-        raise ValueError(f"bad action {action!r}")
+        raise ValueError(f"bad action {brief(action)}")
     return ConstructionStep(action, placement)
 
 

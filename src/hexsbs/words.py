@@ -31,7 +31,9 @@ Conventions
 
 from __future__ import annotations
 
+import reprlib
 from collections import namedtuple
+from itertools import islice
 from operator import add
 
 from .cyclo import (ALPHA, BETA, GAMMA, IDENTITY, Frozen, Mat2, PMClass,
@@ -58,12 +60,44 @@ class SizeError(ValueError):
     """A size argument that breaks check_size's rule."""
 
 
+class _Brief(reprlib.Repr):
+    """repr for a value that an error message echoes, cut short so that a
+    huge input makes a short message: at most 10 items of a list, tuple
+    or dict, 30 characters of a string, and 15 values and levels in all.
+    A repr of 30 characters or fewer holds no more, so such a value comes
+    out whole.  The count of values left makes one instance serve one
+    call."""
+
+    def __init__(self):
+        super().__init__()
+        self.maxlist = self.maxtuple = self.maxdict = 10
+        self.maxlevel = self.left = 15
+
+    def repr1(self, x, level):
+        self.left -= 1
+        return super().repr1(x, level) if self.left >= 0 else "..."
+
+    def repr_dict(self, x, level):  # in insertion order, as repr has it
+        if not x or level <= 0:
+            return super().repr_dict(x, level)
+        pieces = [f"{self.repr1(k, level - 1)}: {self.repr1(v, level - 1)}"
+                  for k, v in islice(x.items(), self.maxdict)]
+        more = ", ..." if len(x) > self.maxdict else ""
+        return "{" + ", ".join(pieces) + more + "}"
+
+
+def brief(value) -> str:
+    """The repr of a value to echo in an error message, shortened past
+    30 characters."""
+    return _Brief().repr(value)
+
+
 def check_size(name: str, value, low: int) -> None:
     """The library's one rule for a size argument: exactly an int (a bool
     or a float is refused, never coerced), and at least `low`; SizeError
     otherwise."""
     if type(value) is not int:
-        raise SizeError(f"{name} must be an int, got {value!r}")
+        raise SizeError(f"{name} must be an int, got {brief(value)}")
     if value < low:
         raise SizeError(f"{name} must be >= {low}")
 
@@ -72,7 +106,7 @@ def _checked(letters, kind: str) -> str:
     """letters, once it is a str of step or edge letters (kind "step" or
     "edge"); WordError naming the first fault otherwise."""
     if not isinstance(letters, str):
-        raise WordError(f"letters must be a str, got {letters!r}")
+        raise WordError(f"letters must be a str, got {brief(letters)}")
     allowed = _LETTER_SETS[kind]
     if not allowed.issuperset(letters):  # the scan only names the fault
         i, ch = next((i, ch) for i, ch in enumerate(letters)

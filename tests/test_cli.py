@@ -607,6 +607,21 @@ def test_check_sequence_rejects_malformed_steps(capsys, tmp_path, data,
     assert where in err
 
 
+@pytest.mark.parametrize("command, data", [
+    ("check-region", {"cells": [[0, "x" * 10 ** 6]]}),
+    ("check-region", {"cells": [list(range(200_000))]}),
+    ("check-sequence", [{**BONE_STEP, "anchor": list(range(100_000))}]),
+], ids=["long coordinate", "long cell", "long anchor"])
+def test_error_messages_echo_a_huge_value_cut_short(capsys, tmp_path,
+                                                    command, data):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, command, "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert len(err.encode()) < 1024 and "..." in err
+
+
 @pytest.mark.parametrize("edit, where", [
     ({"coeff": 1.7}, "entry 1"),
     ({"coeff": True}, "entry 1"),
@@ -777,6 +792,22 @@ def test_render_tiling(capsys, tmp_path):
               if g.get("data-sign")]
     assert len(groups) == 3
     assert sum(1 for g in groups if g.get("data-sign") == "negative") == 1
+
+
+def test_render_tiling_reads_its_region_without_writing_json(
+        capsys, tmp_path, monkeypatch):
+    # the region object is checked as decoded, not written back to JSON
+    # text and parsed again
+    def reparsed(*args, **kwargs):
+        raise AssertionError("region JSON text parsed again")
+
+    monkeypatch.setattr(cli, "region_from_json", reparsed)
+    monkeypatch.setattr(hexgrid, "region_from_json", reparsed)
+    out_file = tmp_path / "crescent.svg"
+    code, _, err = invoke(capsys, "render", "--subject", "tiling", "--in",
+                          str(FIXTURES / "crescent_tiling.json"),
+                          "--out", str(out_file))
+    assert (code, err) == (0, f"wrote {out_file}\n")
 
 
 def test_render_path_literal_and_determinism(capsys, tmp_path):

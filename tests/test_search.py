@@ -299,8 +299,31 @@ def test_reduce_single_letters_kill_nothing():
 
 
 def test_reduce_requires_sorted_input():
-    with pytest.raises(ValueError):
-        reduce_relation_list([rec("XXYZ"), rec("XYZ")])
+    # a pair out of (length, representative) order, at either key, read
+    # from a list or from a one-shot generator
+    for records in ([rec("XXYZ"), rec("XYZ")],
+                    [rec("XYZ"), rec("XXYZ"), rec("XYZ")],
+                    [rec("XXX"), rec("XYZ"), rec("XXX")]):
+        for make in (list, iter):
+            with pytest.raises(ValueError, match="^records must be sorted "
+                                                 "shortest-first$"):
+                reduce_relation_list(make(records))
+
+
+def test_reduce_reads_a_generator_as_it_reads_a_list():
+    records = enumerate_identity_words(SearchConfig(9))
+    assert reduce_relation_list(r for r in records) == \
+        reduce_relation_list(records)
+
+
+def test_reduce_accepts_a_repeated_record_as_a_casualty():
+    # equal keys are in order, as for the stable sort of the former check;
+    # the copy shares every window with the record before it
+    first, second = rec("XYZ"), rec("XYZ")
+    result = reduce_relation_list([first, second, rec("XXYZ")])
+    assert result.survivors == (first,)
+    assert [(r, source) for r, _, source in result.casualties] == \
+        [(second, "XYZ"), (rec("XXYZ"), "XYZ")]
 
 
 def test_reduce_full_run_is_deterministic():

@@ -532,3 +532,32 @@ def test_every_size_has_the_one_rule_and_wording(entry, value):
         message = f"{name} must be an int, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+# JSON-like values: every repr of 30 characters or fewer must come out of
+# brief whole, with dict keys in insertion order
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+def test_brief_keeps_a_short_repr_whole(value):
+    text = words.brief(value)
+    if len(repr(value)) <= 30:
+        assert text == repr(value)
+    else:
+        assert len(text) < 1024
+
+
+def test_brief_cuts_long_and_deep_values_short():
+    deep = 0
+    for _ in range(7):
+        deep = [deep] * 10  # ten million leaves, one object per level
+    assert words.brief("x" * 10 ** 6) == "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"
+    assert words.brief(list(range(10 ** 5))) == \
+        "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...]"
+    assert words.brief({"b": 0, "a": 1}) == "{'b': 0, 'a': 1}"
+    assert len(words.brief(deep)) < 1024
